@@ -468,31 +468,4 @@ void IntersectSorted(std::span<const NodeId> a, std::span<const NodeId> b,
 #endif
 }
 
-void IntersectSortedBranchFree(std::span<const NodeId> a,
-                               std::span<const NodeId> b,
-                               std::vector<NodeId>* out) {
-  assert(!AliasesOut(a, *out) && !AliasesOut(b, *out) &&
-         "IntersectSortedBranchFree: out must not alias an input");
-  // Every iteration unconditionally writes the smaller head and advances
-  // by comparison masks; the write cursor moves only on a match. No
-  // data-dependent branches — but each iteration's loads depend on the
-  // previous advance, a serial chain the branchy merge's speculation
-  // overlaps (the PR 5 A/B measured 2-3.5x slower; kept for the record).
-  out->clear();
-  if (a.size() > b.size()) std::swap(a, b);
-  out->resize(a.size());
-  NodeId* write = out->data();
-  size_t o = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const NodeId x = a[i];
-    const NodeId y = b[j];
-    write[o] = x;
-    o += static_cast<size_t>(x == y);
-    i += static_cast<size_t>(x <= y);
-    j += static_cast<size_t>(y <= x);
-  }
-  out->resize(o);
-}
-
 }  // namespace dkc

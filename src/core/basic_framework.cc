@@ -1,8 +1,5 @@
 #include "core/basic_framework.h"
 
-#include <algorithm>
-#include <atomic>
-#include <memory>
 #include <vector>
 
 #include "clique/neighborhood.h"
@@ -17,9 +14,8 @@ namespace {
 // "find an edge ... and form a k-clique" — first hit wins).
 class FirstCliqueFinder {
  public:
-  FirstCliqueFinder(const Dag& dag, const std::vector<uint8_t>& valid, int k,
-                    KernelArena* arena = nullptr)
-      : dag_(dag), valid_(valid), k_(k), kernel_(arena) {}
+  FirstCliqueFinder(const Dag& dag, const std::vector<uint8_t>& valid, int k)
+      : dag_(dag), valid_(valid), k_(k) {}
 
   /// On success fills `clique` with u plus a (k-1)-clique from valid N+(u).
   bool FindRooted(NodeId u, std::vector<NodeId>* clique) {
@@ -70,103 +66,21 @@ StatusOr<SolveResult> SolveBasic(const Graph& g, const BasicOptions& options) {
   timer.Restart();
 
   // The sweep visits roots in rank order; each acceptance invalidates the
-  // clique's nodes for every later root. With a pool the sweep runs in
-  // speculative batches: a batch of roots is searched in parallel against
-  // the mask as of the batch start, then drained serially in rank order.
-  //
-  // Why the result is byte-identical to the serial sweep: the kernel's DFS
-  // visits the (k-1)-cliques of N+(u) in a fixed order, and shrinking the
-  // validity mask only *removes* branches, never reorders the survivors.
-  // So if the clique found under the batch-start mask (a superset of the
-  // drain-time mask) is still fully valid at drain time, it is exactly the
-  // first valid clique the serial sweep would find — and if it went stale,
-  // the drain re-runs FindOne under the true mask. A root with no clique
-  // under the superset mask has none under any subset either.
+  // clique's nodes for every later root.
   FirstCliqueFinder finder(dag, valid, options.k);
   std::vector<NodeId> clique;
   const auto& order = dag.ordering().nodes;
-  auto skip_root = [&](NodeId u) {
-    return !valid[u] ||
-           dag.OutDegree(u) + 1 < static_cast<Count>(options.k);
-  };
-  auto accept = [&](const std::vector<NodeId>& nodes) {
-    for (NodeId v : nodes) valid[v] = 0;
-    result.set.Add(nodes);
-  };
-  const size_t workers = options.pool == nullptr
-                             ? 0
-                             : options.pool->num_threads();
-  if (workers > 1 && order.size() >= 2 * workers) {
-    struct Worker {
-      KernelArena arena;
-      FirstCliqueFinder finder;
-      Worker(const Dag& dag, const std::vector<uint8_t>& valid, int k)
-          : finder(dag, valid, k, &arena) {}
-    };
-    std::vector<std::unique_ptr<Worker>> states;
-    states.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      states.push_back(
-          std::make_unique<Worker>(dag, valid, options.k));
+  for (NodeId i = 0; i < order.size(); ++i) {
+    const NodeId u = order[i];
+    if ((i & 0x3FF) == 0 && deadline.Expired()) {
+      return Status::TimeBudgetExceeded("basic framework");
     }
-    constexpr NodeId kBatch = 1024;
-    std::vector<std::vector<NodeId>> found(kBatch);
-    std::vector<uint8_t> has(kBatch);
-    for (NodeId batch = 0; batch < order.size(); batch += kBatch) {
-      const NodeId end = std::min<NodeId>(order.size(), batch + kBatch);
-      if (deadline.Expired()) {
-        return Status::TimeBudgetExceeded("basic framework");
-      }
-      std::atomic<NodeId> cursor{batch};
-      std::atomic<bool> expired{false};
-      for (size_t w = 0; w < workers; ++w) {
-        Worker* state = states[w].get();
-        options.pool->Submit([&, state] {
-          for (;;) {
-            const NodeId i = cursor.fetch_add(1);
-            if (i >= end || expired.load(std::memory_order_relaxed)) break;
-            if ((i & 0x3F) == 0 && deadline.Expired()) {
-              expired.store(true, std::memory_order_relaxed);
-              break;
-            }
-            has[i - batch] = 0;
-            const NodeId u = order[i];
-            if (skip_root(u)) continue;
-            if (state->finder.FindRooted(u, &found[i - batch])) {
-              has[i - batch] = 1;
-            }
-          }
-        });
-      }
-      options.pool->Wait();
-      if (expired.load()) {
-        return Status::TimeBudgetExceeded("basic framework");
-      }
-      for (NodeId i = batch; i < end; ++i) {
-        const NodeId u = order[i];
-        if (skip_root(u) || !has[i - batch]) continue;
-        bool fresh = true;
-        for (NodeId v : found[i - batch]) {
-          if (!valid[v]) {
-            fresh = false;
-            break;
-          }
-        }
-        if (fresh) {
-          accept(found[i - batch]);
-        } else if (finder.FindRooted(u, &clique)) {
-          accept(clique);
-        }
-      }
+    if (!valid[u] || dag.OutDegree(u) + 1 < static_cast<Count>(options.k)) {
+      continue;
     }
-  } else {
-    for (NodeId i = 0; i < order.size(); ++i) {
-      const NodeId u = order[i];
-      if ((i & 0x3FF) == 0 && deadline.Expired()) {
-        return Status::TimeBudgetExceeded("basic framework");
-      }
-      if (skip_root(u)) continue;
-      if (finder.FindRooted(u, &clique)) accept(clique);
+    if (finder.FindRooted(u, &clique)) {
+      for (NodeId v : clique) valid[v] = 0;
+      result.set.Add(clique);
     }
   }
 

@@ -33,12 +33,6 @@ struct BasicOptions {
   /// Must order exactly g.num_nodes() nodes and outlive the call.
   const Ordering* orientation = nullptr;
   Budget budget;
-  /// Optional pool for the FindOne sweep. The sweep is speculative: a batch
-  /// of roots is searched in parallel against a snapshot of the validity
-  /// mask, then accepted serially in rank order (stale finds re-searched),
-  /// which keeps the solution byte-identical at any thread count — see the
-  /// proof sketch in basic_framework.cc.
-  ThreadPool* pool = nullptr;
 };
 
 /// Runs Algorithm 1 on `g`. Returns InvalidArgument for k < 3 and

@@ -8,7 +8,6 @@
 #include "core/gc_solver.h"
 #include "core/lightweight.h"
 #include "core/opt_solver.h"
-#include "core/partitioned_solve.h"
 #include "graph/preprocess.h"
 
 namespace dkc {
@@ -49,7 +48,6 @@ StatusOr<SolveResult> Dispatch(const Graph& g, const SolverOptions& options,
       basic.k = options.k;
       basic.orientation = orientation;
       basic.budget = options.budget;
-      basic.pool = options.pool;
       return SolveBasic(g, basic);
     }
     case Method::kGC: {
@@ -85,13 +83,6 @@ StatusOr<SolveResult> Dispatch(const Graph& g, const SolverOptions& options,
 }  // namespace
 
 StatusOr<SolveResult> Solve(const Graph& g, const SolverOptions& options) {
-  if (options.partitions > 0 && options.method != Method::kOPT &&
-      options.k >= 3) {
-    // Partitioned execution model; byte-identical to the classic path
-    // below at any partition count. OPT keeps its own per-component
-    // decomposition; invalid k falls through for per-method validation.
-    return PartitionedSolve(g, options);
-  }
   if (!options.preprocess || options.k < 3) {
     // k < 3 falls through so the per-method validation reports the error.
     return Dispatch(g, options, nullptr);

@@ -30,11 +30,11 @@ struct SolverOptions {
   int k = 3;
   Method method = Method::kLP;
   Budget budget;
-  /// Honored by every method: L/LP scoring + heap init, HG's FindOne
-  /// sweep, GC/OPT clique enumeration, OPT's clique-graph dedup and
-  /// per-component exact-MIS solves. Solutions are byte-identical at any
-  /// thread count (each parallel pass ends in a deterministic ordered
-  /// reduction or an order-insensitive one).
+  /// Honored by L/LP scoring + heap init, GC/OPT clique enumeration,
+  /// OPT's clique-graph dedup and per-component exact-MIS solves, and the
+  /// preprocessing peel; HG's sweep is serial. Solutions are byte-identical
+  /// at any thread count (each parallel pass ends in a deterministic
+  /// ordered reduction or an order-insensitive one).
   ThreadPool* pool = nullptr;
   /// Graph-shrinking preprocessing (graph/preprocess.h): run the solver on
   /// the (k-1)-core + triangle-support fixpoint of the input and report the
@@ -49,18 +49,9 @@ struct SolverOptions {
   /// valid maximal disjoint k-clique sets but the byte-identity promise is
   /// waived.
   bool preprocess_reorder = false;
-  /// > 0: run the partitioned execution model (core/partitioned_solve.h)
-  /// with this many partitions — partition-parallel HG/GC/L/LP passes plus
-  /// a deterministic serial boundary stitch. Solutions are byte-identical
-  /// to the classic path at any P and any thread count; P=1 is bit-for-bit
-  /// the unpartitioned engine. OPT ignores this and takes the classic path
-  /// (its clique-graph MIS already decomposes by connected component).
-  /// Per-partition accounting lands in SolveResult::partitions.
+  /// Ignored; kept only so bench_e2e/dkc_e2e.cc compiles. Drop it when
+  /// bench_e2e next changes.
   int partitions = 0;
-  /// Partition-assignment policy for the partitioned driver; null picks
-  /// RangePartitioner (contiguous solve-order ranges). Any policy yields
-  /// the same solution — it trades locality and balance only.
-  const GraphPartitioner* partitioner = nullptr;
 };
 
 /// Compute a disjoint k-clique set of `g` with the selected method.

@@ -13,6 +13,18 @@
 namespace dkc {
 namespace {
 
+// The node-id growth check InsertEdge and ValidateBatch share; `n` is the
+// node count at the start of the call.
+Status CheckNodeIdGrowth(NodeId u, NodeId v, NodeId n) {
+  const uint64_t limit = std::max<uint64_t>(uint64_t{2} * n,
+                                            uint64_t{n} + kNodeIdGrowthSlack);
+  const NodeId top = std::max(u, v);
+  if (top < limit) return Status::OK();
+  return Status::InvalidArgument(
+      "node id " + std::to_string(top) + " is past the growth limit " +
+      std::to_string(limit) + " of a " + std::to_string(n) + "-node graph");
+}
+
 void Accumulate(SwapStats* into, const SwapStats& delta) {
   into->pops += delta.pops;
   into->commits += delta.commits;
@@ -213,6 +225,7 @@ void DynamicSolver::FinishUpdate(const UpdateWork& meter,
 
 Status DynamicSolver::InsertEdge(NodeId u, NodeId v) {
   last_update_ = UpdateStats{};  // an errored call did no work
+  DKC_RETURN_IF_ERROR(CheckNodeIdGrowth(u, v, state_->graph().num_nodes()));
   if (!state_->graph().InsertEdge(u, v)) {
     return Status::InvalidArgument("edge already present (or u == v)");
   }
@@ -401,12 +414,20 @@ Status DynamicSolver::ValidateBatch(std::span<const UpdateOp> ops) const {
   // Simulated edge delta over the live graph: op i must be valid on the
   // graph as left by ops 0..i-1 (catches intra-batch duplicates and
   // self-canceling pairs as well as conflicts with the current graph).
+  const NodeId n = state_->graph().num_nodes();
   std::unordered_map<uint64_t, bool> delta;
   for (size_t i = 0; i < ops.size(); ++i) {
     const auto [u, v] = ops[i].edge;
     if (u == v) {
       return Status::InvalidArgument("batch op " + std::to_string(i) +
                                      ": self loop");
+    }
+    if (ops[i].is_insert) {
+      const Status admitted = CheckNodeIdGrowth(u, v, n);
+      if (!admitted.ok()) {
+        return Status::InvalidArgument("batch op " + std::to_string(i) +
+                                       ": " + admitted.message());
+      }
     }
     const uint64_t key = EdgeKey(u, v);
     const auto it = delta.find(key);

@@ -20,6 +20,13 @@
 
 namespace dkc {
 
+/// Node-id growth admission: an insert endpoint must be below
+/// max(2·n, n + kNodeIdGrowthSlack), where n is the node count when the
+/// InsertEdge/ApplyBatch call starts. That allows amortised doubling (and
+/// room to grow small graphs) while refusing an id that would make the
+/// graph allocate billions of nodes.
+inline constexpr NodeId kNodeIdGrowthSlack = 65536;
+
 struct DynamicOptions {
   int k = 3;
   /// Static method that seeds the initial solution.
@@ -134,8 +141,9 @@ class DynamicSolver {
   /// The engine state (exposed for the durable store's snapshot writer).
   const SolutionState& state() const { return *state_; }
 
-  /// Algorithm 6. Returns InvalidArgument if the edge already exists or
-  /// u == v. New node ids grow the graph.
+  /// Algorithm 6. Returns InvalidArgument if the edge already exists,
+  /// u == v, or an endpoint is past the growth limit (kNodeIdGrowthSlack).
+  /// New node ids below it grow the graph.
   Status InsertEdge(NodeId u, NodeId v);
 
   /// Algorithm 7. Returns NotFound if the edge does not exist.
@@ -166,8 +174,9 @@ class DynamicSolver {
   /// The batch-level precondition check ApplyBatch runs: each op must be
   /// valid on the graph as left by the ops before it (self loops,
   /// duplicate inserts, deletes of absent edges — including intra-batch
-  /// duplicates and conflicts). Exposed so the durable store can validate
-  /// before logging. Errors name the offending op index.
+  /// duplicates and conflicts), and no insert may name a node id past the
+  /// growth limit (kNodeIdGrowthSlack). Exposed so the durable store can
+  /// validate before logging. Errors name the offending op index.
   Status ValidateBatch(std::span<const UpdateOp> ops) const;
 
   /// Stats of the most recent successful ApplyBatch (reset to empty by an

@@ -166,17 +166,11 @@ Status DurableStore::Seal(Status status) {
 
 Status DurableStore::Apply(const UpdateOp& op) {
   if (sealed()) return seal_;
-  const auto [u, v] = op.edge;
   // Validate against the live graph before logging: the WAL must contain
   // only records that replay cleanly.
-  if (op.is_insert) {
-    if (u == v) return Status::InvalidArgument("self loop");
-    if (solver_->graph().HasEdge(u, v)) {
-      return Status::InvalidArgument("edge already present");
-    }
-  } else if (!solver_->graph().HasEdge(u, v)) {
-    return Status::NotFound("edge does not exist");
-  }
+  DKC_RETURN_IF_ERROR(
+      solver_->ValidateBatch(std::span<const UpdateOp>(&op, 1)));
+  const auto [u, v] = op.edge;
 
   WalRecord rec;
   rec.seq = applied_seq_ + 1;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/verify.h"
 #include "gen/named_graphs.h"
+#include "graph/graph_builder.h"
 #include "test_util.h"
 
 namespace dkc {
@@ -205,6 +209,65 @@ TEST(DynamicSolverTest, InsertEdgeWithNewNodeGrowsGraph) {
   EXPECT_EQ(solver->graph().num_nodes(), 21u);
   std::string error;
   EXPECT_TRUE(solver->CheckInvariants(&error)) << error;
+}
+
+std::string StateBytes(const DynamicSolver& solver) {
+  std::string bytes;
+  solver.state().SerializeGraphTo(&bytes);
+  solver.state().SerializeStateTo(&bytes);
+  return bytes;
+}
+
+// An insert naming a huge node id used to grow the graph to billions of
+// nodes and die on bad_alloc; it must be a clean refusal that leaves the
+// engine exactly as it was.
+TEST(DynamicSolverTest, InsertEdgePastGrowthLimitIsRefused) {
+  auto solver = DynamicSolver::Build(PaperFig2Graph(), Opts(3));
+  ASSERT_TRUE(solver.ok());
+  const NodeId n = solver->graph().num_nodes();
+  const std::string before = StateBytes(*solver);
+  EXPECT_EQ(solver->InsertEdge(0, 3000000000u).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(solver->graph().num_nodes(), n);
+  EXPECT_EQ(StateBytes(*solver), before);
+  std::string error;
+  EXPECT_TRUE(solver->CheckInvariants(&error)) << error;
+
+  // A small graph may grow by kNodeIdGrowthSlack ids: the first id past
+  // that is refused, the last one inside it is admitted.
+  EXPECT_EQ(solver->InsertEdge(n + kNodeIdGrowthSlack, 0).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(StateBytes(*solver), before);
+  ASSERT_TRUE(solver->InsertEdge(0, n + kNodeIdGrowthSlack - 1).ok());
+  EXPECT_EQ(solver->graph().num_nodes(), n + kNodeIdGrowthSlack);
+  EXPECT_TRUE(solver->CheckInvariants(&error)) << error;
+}
+
+// Past 65536 nodes the limit is 2n, with n taken when the call starts: a
+// batch cannot climb past it by growing the graph op by op.
+TEST(DynamicSolverTest, BatchGrowthLimitIsTwiceTheStartingNodeCount) {
+  GraphBuilder builder;
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  builder.AddEdge(0, 2);
+  builder.EnsureNode(99999);
+  auto solver = DynamicSolver::Build(builder.Build(), Opts(3));
+  ASSERT_TRUE(solver.ok());
+  ASSERT_EQ(solver->graph().num_nodes(), 100000u);
+  const std::vector<UpdateOp> admitted = {{true, {0, 199999}}};
+  EXPECT_TRUE(solver->ValidateBatch(admitted).ok());
+  const std::vector<UpdateOp> refused = {{true, {0, 200000}}};
+  EXPECT_EQ(solver->ValidateBatch(refused).code(),
+            Status::Code::kInvalidArgument);
+  const std::vector<UpdateOp> climbing = {{true, {0, 150000}},
+                                          {true, {1, 250000}}};
+  const std::string before = StateBytes(*solver);
+  const Status status = solver->ApplyBatch(climbing);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(status.message().find("batch op 1"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(solver->graph().num_nodes(), 100000u);
+  EXPECT_EQ(StateBytes(*solver), before);
 }
 
 // Random churn: invariants and maximality must hold after every update,

@@ -787,6 +787,48 @@ TEST(StoreTest, RejectedUpdatesAreNeverLogged) {
   CleanUp(paths);
 }
 
+// An insert naming a huge node id used to be logged and then abort the
+// engine on bad_alloc — and every later Open replayed it and aborted
+// again. It must be refused before the WAL append, through both ingest
+// paths, leaving the files reopenable.
+TEST(StoreTest, OversizedNodeIdIsRefusedBeforeLogging) {
+  TestWorld world = MakeWorld(8, 111);
+  const StorePaths paths = MakeStorePaths("oversized");
+  UpdateOp huge;
+  huge.is_insert = true;
+  huge.edge = {0, 3000000000u};
+  {
+    auto store = DurableStore::Create(world.graph, paths.snapshot, paths.wal,
+                                      MakeStoreOptions());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (size_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(store->Apply(world.ops[i]).ok()) << "op " << i;
+    }
+    const size_t wal_bytes = ReadFileBytes(paths.wal).size();
+    const std::string state = EngineFingerprint(store->solver());
+
+    EXPECT_EQ(store->Apply(huge).code(), Status::Code::kInvalidArgument);
+    EXPECT_FALSE(store->sealed());
+    EXPECT_EQ(store->applied_seq(), 4u);
+    EXPECT_EQ(ReadFileBytes(paths.wal).size(), wal_bytes);
+    EXPECT_EQ(EngineFingerprint(store->solver()), state);
+
+    const std::vector<UpdateOp> batch = {world.ops[4], huge};
+    EXPECT_EQ(store->ApplyBatch(batch).code(), Status::Code::kInvalidArgument);
+    EXPECT_FALSE(store->sealed());
+    EXPECT_EQ(store->applied_seq(), 4u);
+    EXPECT_EQ(ReadFileBytes(paths.wal).size(), wal_bytes);
+    EXPECT_EQ(EngineFingerprint(store->solver()), state);
+  }
+  auto reopened =
+      DurableStore::Open(paths.snapshot, paths.wal, MakeStoreOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->applied_seq(), 4u);
+  EXPECT_EQ(EngineFingerprint(reopened->solver()),
+            EngineFingerprint(ReferenceRun(world, 4)));
+  CleanUp(paths);
+}
+
 TEST(StoreTest, StaleWalFromPreviousStoreIsNotReplayed) {
   TestWorld world = MakeWorld(10, 109);
   const StorePaths paths = MakeStorePaths("stale");

@@ -4,10 +4,10 @@
 // *byte-identical* solutions — same cliques, same order, same node order
 // within each clique — at every thread count.
 //
-// This is the contract the pool plumbing claims: HG's speculative FindOne
-// batches, GC/OPT's ordered enumeration reduction, OPT's per-component
-// exact-MIS solves and L/LP's heap passes must all be deterministic up to
-// the last byte regardless of scheduling. OPT additionally runs under a
+// This is the contract the pool plumbing claims: GC/OPT's ordered
+// enumeration reduction, OPT's per-component exact-MIS solves, L/LP's heap
+// passes and the parallel preprocessing peel must all be deterministic up
+// to the last byte regardless of scheduling. OPT additionally runs under a
 // *branch budget* instead of a wall-clock deadline: whether an instance
 // aborts is then a property of the instance, not of timing, so even the
 // abort outcomes must agree across thread counts.
@@ -72,10 +72,17 @@ TEST(ThreadSweepTest, HeuristicSolutionsAreByteIdenticalAcrossThreadCounts) {
       for (ThreadPool* pool : pools) {
         SCOPED_TRACE("threads=" + std::to_string(pool->num_threads()));
         options.pool = pool;
-        auto pooled = Solve(g, options);
-        ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
         // Byte-identical: same cliques, same order, no canonicalization.
-        EXPECT_EQ(ToVectors(pooled->set), expected);
+        // SolverOptions::partitions is ignored, so setting it changes
+        // nothing either.
+        for (int partitions : {0, 4}) {
+          SCOPED_TRACE("partitions=" + std::to_string(partitions));
+          options.partitions = partitions;
+          auto pooled = Solve(g, options);
+          ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+          EXPECT_EQ(ToVectors(pooled->set), expected);
+        }
+        options.partitions = 0;
       }
       options.pool = nullptr;
     }

@@ -112,7 +112,7 @@ UpdateRun RunBatched(const dkc::Graph& start,
   const double total_ns = static_cast<double>(timer.ElapsedNanos());
   run.ok = true;
   run.avg_ns = ops.empty() ? 0 : total_ns / static_cast<double>(ops.size());
-  const uint64_t applied = solver->batched_updates_applied();
+  const uint64_t applied = solver->updates_applied();
   run.rebuilds_per_update =
       applied == 0 ? 0
                    : static_cast<double>(solver->batch_dirty_rebuilds()) /

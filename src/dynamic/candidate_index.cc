@@ -189,11 +189,6 @@ void SolutionState::EnumerateCandidatesFor(
       kernel, budget);
 }
 
-size_t SolutionState::RebuildCandidatesFor(uint32_t slot, UpdateWork* meter) {
-  return RebuildCandidatesFor(slot, kInvalidNode, kInvalidNode, meter)
-      .candidates;
-}
-
 namespace {
 
 // Seeds the DFS budget for one serial rebuild: the enumeration continues
@@ -217,11 +212,9 @@ void SolutionState::KillOwnedCandidates(uint32_t slot) {
   clique.cands.clear();
 }
 
-SolutionState::RebuildOutcome SolutionState::RebuildCandidatesFor(
-    uint32_t slot, NodeId u, NodeId v, UpdateWork* meter) {
+size_t SolutionState::RebuildCandidatesFor(uint32_t slot, UpdateWork* meter) {
   KillOwnedCandidates(slot);
 
-  RebuildOutcome outcome;
   std::vector<std::vector<NodeId>> found;
   if (meter != nullptr) {
     meter->Charge(1);  // the rebuild unit; DFS branches charge inside
@@ -232,17 +225,9 @@ SolutionState::RebuildOutcome SolutionState::RebuildCandidatesFor(
   } else {
     EnumerateCandidatesFor(slot, &found, &subset_kernel_);
   }
-  for (const auto& nodes : found) {
-    RegisterCandidate(nodes, slot);
-    if (u != kInvalidNode && !outcome.has_edge) {
-      outcome.has_edge =
-          std::find(nodes.begin(), nodes.end(), u) != nodes.end() &&
-          std::find(nodes.begin(), nodes.end(), v) != nodes.end();
-    }
-  }
-  outcome.candidates = found.size();
+  for (const auto& nodes : found) RegisterCandidate(nodes, slot);
   MaybeCompactNodeCands();
-  return outcome;
+  return found.size();
 }
 
 void SolutionState::RebuildCandidatesForMany(std::span<const uint32_t> slots,
@@ -351,6 +336,20 @@ size_t SolutionState::KillCandidatesWithEdge(NodeId u, NodeId v) {
   // without bound (the satellite-2 regression).
   MaybeCompactNodeCands();
   return killed;
+}
+
+bool SolutionState::HasCandidateWithEdge(uint32_t slot, NodeId u,
+                                         NodeId v) const {
+  if (!SlotAlive(slot)) return false;
+  for (CandRef ref : cliques_[slot].cands) {
+    if (!CandValid(ref)) continue;
+    const std::vector<NodeId>& nodes = candidates_[ref.idx].nodes;
+    if (std::find(nodes.begin(), nodes.end(), u) != nodes.end() &&
+        std::find(nodes.begin(), nodes.end(), v) != nodes.end()) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::vector<SolutionState::CandidateView> SolutionState::CandidatesOf(

@@ -101,17 +101,6 @@ class SolutionState {
   /// bounding a single huge neighborhood rebuild (see update_work.h).
   size_t RebuildCandidatesFor(uint32_t slot, UpdateWork* meter = nullptr);
 
-  /// As above, additionally reporting whether any registered candidate
-  /// contains both `u` and `v` — the new-edge detection InsertEdge's
-  /// one-endpoint-free path needs, answered during registration instead of
-  /// by re-scanning CandidatesOf afterwards.
-  struct RebuildOutcome {
-    size_t candidates = 0;
-    bool has_edge = false;
-  };
-  RebuildOutcome RebuildCandidatesFor(uint32_t slot, NodeId u, NodeId v,
-                                      UpdateWork* meter = nullptr);
-
   /// Rebuild several slots (each alive, no duplicates), optionally fanning
   /// the read-only enumeration across `pool` with worker-private kernels;
   /// registration stays serial in `slots` order, so candidates, their
@@ -146,6 +135,11 @@ class SolutionState {
   /// Kill every candidate whose clique uses edge (u, v) — edge-deletion
   /// maintenance. Returns how many died.
   size_t KillCandidatesWithEdge(NodeId u, NodeId v);
+
+  /// True iff some alive candidate of `slot` contains both `u` and `v` —
+  /// the new-edge probe of an insert with one free endpoint, answered by
+  /// walking the slot's candidates in place.
+  bool HasCandidateWithEdge(uint32_t slot, NodeId u, NodeId v) const;
 
   /// Copies the alive candidates of `slot` as (nodes, score) pairs.
   struct CandidateView {

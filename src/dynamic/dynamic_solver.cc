@@ -13,18 +13,6 @@
 namespace dkc {
 namespace {
 
-// The node-id growth check InsertEdge and ValidateBatch share; `n` is the
-// node count at the start of the call.
-Status CheckNodeIdGrowth(NodeId u, NodeId v, NodeId n) {
-  const uint64_t limit = std::max<uint64_t>(uint64_t{2} * n,
-                                            uint64_t{n} + kNodeIdGrowthSlack);
-  const NodeId top = std::max(u, v);
-  if (top < limit) return Status::OK();
-  return Status::InvalidArgument(
-      "node id " + std::to_string(top) + " is past the growth limit " +
-      std::to_string(limit) + " of a " + std::to_string(n) + "-node graph");
-}
-
 void Accumulate(SwapStats* into, const SwapStats& delta) {
   into->pops += delta.pops;
   into->commits += delta.commits;
@@ -199,120 +187,14 @@ std::vector<uint32_t> DynamicSolver::CollectOwnersOfNewCandidates(
   return owners;
 }
 
-void DynamicSolver::EnqueueOwnersOfNewCandidates(NodeId u, NodeId v,
-                                                 SwapQueue* queue,
-                                                 UpdateWork* meter) {
-  const std::vector<uint32_t> owners = CollectOwnersOfNewCandidates(u, v);
-  // The rebuilds register the new edge's candidates as a side effect and
-  // charge `meter` themselves (possibly truncated by its cap); the fan-out
-  // runs the enumerations across the pool with byte-identical registration
-  // order and budget outcomes (see RebuildCandidatesForMany).
-  std::vector<size_t> counts;
-  state_->RebuildCandidatesForMany(owners, pool_, &counts, meter);
-  for (size_t i = 0; i < owners.size(); ++i) {
-    if (counts[i] > 0) queue->push_back(state_->RefOf(owners[i]));
-  }
-}
-
-void DynamicSolver::FinishUpdate(const UpdateWork& meter,
-                                 const SwapStats& swaps) {
-  last_update_.work = meter.work;
-  last_update_.rebuild_cuts = meter.rebuild_cuts;
-  last_update_.swaps = swaps;
-  aborted_updates_ += last_update_.aborted() ? 1 : 0;
-  Accumulate(&swap_stats_, swaps);
-}
-
 Status DynamicSolver::InsertEdge(NodeId u, NodeId v) {
-  last_update_ = UpdateStats{};  // an errored call did no work
-  DKC_RETURN_IF_ERROR(CheckNodeIdGrowth(u, v, state_->graph().num_nodes()));
-  if (!state_->graph().InsertEdge(u, v)) {
-    return Status::InvalidArgument("edge already present (or u == v)");
-  }
-  ++updates_applied_;
-  state_->EnsureNodeCapacity(state_->graph().num_nodes());
-  UpdateWork meter = UpdateWork::FromBudget(update_budget_);
-
-  const uint32_t cu = state_->CliqueOf(u);
-  const uint32_t cv = state_->CliqueOf(v);
-  if (cu != SolutionState::kNoClique && cv != SolutionState::kNoClique) {
-    // Neither endpoint free: no candidate can use the edge (a candidate's
-    // non-free nodes come from one clique, and (u,v) inside one clique is
-    // impossible for a *new* edge). Nothing to do — Algorithm 6's silent
-    // case.
-    FinishUpdate(meter, SwapStats{});
-    return Status::OK();
-  }
-
-  SwapQueue queue;
-  SwapStats swaps;
-  if (cu != SolutionState::kNoClique || cv != SolutionState::kNoClique) {
-    // Exactly one endpoint free (lines 1-6): candidates through (u,v) can
-    // only belong to the non-free endpoint's clique. The rebuild itself
-    // reports whether the edge actually created a candidate there.
-    const uint32_t owner = cu != SolutionState::kNoClique ? cu : cv;
-    const auto rebuilt = state_->RebuildCandidatesFor(owner, u, v, &meter);
-    if (rebuilt.has_edge) {
-      queue.push_back(state_->RefOf(owner));
-      swaps = TrySwapLoop(state_.get(), &queue, &meter, pool_);
-    }
-    FinishUpdate(meter, swaps);
-    return Status::OK();
-  }
-
-  // Both endpoints free (lines 7-15).
-  std::vector<NodeId> clique;
-  if (FindFreeCliqueWithEdge(u, v, &clique)) {
-    // A brand-new all-free clique: add directly. AddSolutionClique kills
-    // every candidate (of any owner) that used the consumed nodes as free
-    // nodes — without that kill, a later DeleteEdge could pack a stale
-    // candidate into the solution and break disjointness (pinned by the
-    // StaleCandidate regression tests). No swapping is needed: every
-    // candidate of the new clique contains both u and v (any other
-    // combination was an all-free clique of the *pre-insert* graph,
-    // contradicting maximality), so no two of them are disjoint.
-    const uint32_t slot = state_->AddSolutionClique(clique);
-    state_->RebuildCandidatesFor(slot, &meter);
-    FinishUpdate(meter, SwapStats{});
-    return Status::OK();
-  }
-  EnqueueOwnersOfNewCandidates(u, v, &queue, &meter);
-  if (!queue.empty()) {
-    swaps = TrySwapLoop(state_.get(), &queue, &meter, pool_);
-  }
-  FinishUpdate(meter, swaps);
-  return Status::OK();
+  const UpdateOp op{true, {u, v}};
+  return ApplyBatch(std::span<const UpdateOp>(&op, 1));
 }
 
 Status DynamicSolver::DeleteEdge(NodeId u, NodeId v) {
-  last_update_ = UpdateStats{};  // an errored call did no work
-  if (!state_->graph().DeleteEdge(u, v)) {
-    return Status::NotFound("edge does not exist");
-  }
-  ++updates_applied_;
-  UpdateWork meter = UpdateWork::FromBudget(update_budget_);
-  // Candidates through the edge are no longer cliques.
-  state_->KillCandidatesWithEdge(u, v);
-  meter.Charge(1);
-
-  const uint32_t cu = state_->CliqueOf(u);
-  const uint32_t cv = state_->CliqueOf(v);
-  if (cu == SolutionState::kNoClique || cu != cv) {
-    FinishUpdate(meter, SwapStats{});
-    return Status::OK();  // lines 5-6: only candidates were affected
-  }
-
-  // Lines 1-4: the edge broke solution clique C. Replace it by the best
-  // disjoint packing of its surviving candidates (possibly empty), then let
-  // the swap loop chase follow-on opportunities. The repair itself is
-  // mandatory and runs to completion whatever the budget says; only the
-  // follow-on loop can be cut short.
-  auto replacement = PackDisjointCandidates(*state_, cu, pool_);
-  SwapQueue queue;
-  CommitReplacement(state_.get(), cu, replacement, &queue, &meter, pool_);
-  const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter, pool_);
-  FinishUpdate(meter, swaps);
-  return Status::OK();
+  const UpdateOp op{false, {u, v}};
+  return ApplyBatch(std::span<const UpdateOp>(&op, 1));
 }
 
 namespace {
@@ -325,89 +207,6 @@ uint64_t EdgeKey(NodeId u, NodeId v) {
   return (static_cast<uint64_t>(lo) << 32) | hi;
 }
 
-// Per-epoch dirty-slot bookkeeping for ApplyBatch. A slot accumulates the
-// union of the reasons updates touched it; at the boundary it is rebuilt
-// once and enqueued for swapping iff any recorded reason fires — exactly
-// the enqueue rule the corresponding serial update path would have used:
-//
-//   * want_any: enqueue iff the rebuilt slot has any candidate (the rule
-//     of CommitReplacement and of the both-free insert's owner fan-out);
-//   * probes:   enqueue iff some rebuilt candidate contains the probed
-//     edge (the has_edge rule of the one-endpoint-free insert);
-//   * neither ("rebuild only"): never enqueue (the direct-add insert —
-//     its candidates are pairwise intersecting, so no swap can gain).
-//
-// Marks are kept in first-mark order, which for a batch of one reproduces
-// the serial rebuild order verbatim; a slot that dies during staging is
-// deactivated so a reused slot index never inherits a dead clique's marks.
-class DirtySet {
- public:
-  struct Mark {
-    bool active = false;
-    bool want_any = false;
-    std::vector<Edge> probes;
-    size_t order = 0;  // position in order_ of the first (live) mark
-  };
-
-  /// Each returns true iff this created the slot's first live mark (the
-  /// per-update slots_marked accounting; repeats are the dedup win).
-  bool MarkRebuild(uint32_t slot) {
-    bool fresh = false;
-    Touch(slot, &fresh);
-    return fresh;
-  }
-  bool MarkWantAny(uint32_t slot) {
-    bool fresh = false;
-    Touch(slot, &fresh).want_any = true;
-    return fresh;
-  }
-  bool MarkProbe(uint32_t slot, Edge edge) {
-    bool fresh = false;
-    Touch(slot, &fresh).probes.push_back(edge);
-    return fresh;
-  }
-
-  /// The slot died during staging (its clique was removed); drop its
-  /// marks so a reused slot index starts clean.
-  void Deactivate(uint32_t slot) {
-    if (slot < marks_.size()) marks_[slot].active = false;
-  }
-
-  /// True iff the slot currently carries a live mark — i.e. some earlier
-  /// op of this epoch deferred a rebuild it still owes the slot.
-  bool IsActive(uint32_t slot) const {
-    return slot < marks_.size() && marks_[slot].active;
-  }
-
-  /// Visit live marks in first-mark order (re-marks after a death re-enter
-  /// at their new position).
-  template <typename F>
-  void ForEachActive(F&& f) const {
-    for (size_t i = 0; i < order_.size(); ++i) {
-      const uint32_t slot = order_[i];
-      const Mark& mark = marks_[slot];
-      if (mark.active && mark.order == i) f(slot, mark);
-    }
-  }
-
- private:
-  Mark& Touch(uint32_t slot, bool* fresh) {
-    if (slot >= marks_.size()) marks_.resize(slot + 1);
-    Mark& mark = marks_[slot];
-    *fresh = !mark.active;
-    if (!mark.active) {
-      mark = Mark{};  // wipe whatever a dead former occupant left behind
-      mark.active = true;
-      mark.order = order_.size();
-      order_.push_back(slot);
-    }
-    return mark;
-  }
-
-  std::vector<Mark> marks_;
-  std::vector<uint32_t> order_;
-};
-
 }  // namespace
 
 Status DynamicSolver::ValidateBatch(std::span<const UpdateOp> ops) const {
@@ -415,6 +214,8 @@ Status DynamicSolver::ValidateBatch(std::span<const UpdateOp> ops) const {
   // graph as left by ops 0..i-1 (catches intra-batch duplicates and
   // self-canceling pairs as well as conflicts with the current graph).
   const NodeId n = state_->graph().num_nodes();
+  const uint64_t growth_limit = std::max<uint64_t>(
+      uint64_t{2} * n, uint64_t{n} + kNodeIdGrowthSlack);
   std::unordered_map<uint64_t, bool> delta;
   for (size_t i = 0; i < ops.size(); ++i) {
     const auto [u, v] = ops[i].edge;
@@ -422,39 +223,48 @@ Status DynamicSolver::ValidateBatch(std::span<const UpdateOp> ops) const {
       return Status::InvalidArgument("batch op " + std::to_string(i) +
                                      ": self loop");
     }
-    if (ops[i].is_insert) {
-      const Status admitted = CheckNodeIdGrowth(u, v, n);
-      if (!admitted.ok()) {
-        return Status::InvalidArgument("batch op " + std::to_string(i) +
-                                       ": " + admitted.message());
-      }
+    if (ops[i].is_insert && std::max(u, v) >= growth_limit) {
+      return Status::InvalidArgument(
+          "batch op " + std::to_string(i) + ": node id " +
+          std::to_string(std::max(u, v)) + " is past the growth limit " +
+          std::to_string(growth_limit) + " of a " + std::to_string(n) +
+          "-node graph");
     }
     const uint64_t key = EdgeKey(u, v);
     const auto it = delta.find(key);
-    const bool present =
-        it != delta.end() ? it->second : state_->graph().HasEdge(u, v);
-    if (ops[i].is_insert) {
-      if (present) {
-        return Status::InvalidArgument("batch op " + std::to_string(i) +
-                                       ": edge already present");
-      }
-      delta[key] = true;
-    } else {
-      if (!present) {
-        return Status::NotFound("batch op " + std::to_string(i) +
-                                ": edge does not exist");
-      }
-      delta[key] = false;
+    bool present = false;
+    if (it != delta.end()) {
+      present = it->second;
+    } else if (u < n) {
+      // Search u's list, not HasEdge's shorter one: the apply's graph
+      // mutation searches u's list first, so this probe warms its cache
+      // lines instead of missing on both endpoints' lists up front.
+      const auto nbrs = state_->graph().Neighbors(u);
+      present = std::binary_search(nbrs.begin(), nbrs.end(), v);
     }
+    if (ops[i].is_insert && present) {
+      return Status::InvalidArgument("batch op " + std::to_string(i) +
+                                     ": edge already present");
+    }
+    if (!ops[i].is_insert && !present) {
+      return Status::NotFound("batch op " + std::to_string(i) +
+                              ": edge does not exist");
+    }
+    // Only a later op can read the entry, so the last op (all of a one-op
+    // batch) records nothing and allocates nothing.
+    if (i + 1 < ops.size()) delta[key] = ops[i].is_insert;
   }
   return Status::OK();
 }
 
 Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
+  // A rejected batch did no work. The per-update buffer keeps its capacity.
+  std::vector<BatchOpStats> per_update = std::move(last_batch_.per_update);
+  per_update.clear();
   last_batch_ = BatchStats{};
-  last_update_ = UpdateStats{};  // a rejected batch did no work
+  last_batch_.per_update = std::move(per_update);
   DKC_RETURN_IF_ERROR(ValidateBatch(ops));
-  if (ops.empty()) return Status::OK();  // no epoch, no publish
+  if (ops.empty()) return Status::OK();  // no epoch
 
   // One meter for the whole epoch: the deterministic cap scales with the
   // batch so a stream batched differently gets proportional maintenance,
@@ -469,10 +279,11 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
   UpdateWork meter = UpdateWork::FromBudget(epoch_budget);
 
   // --- staging: mandatory structural work per op, rebuilds deferred ----
-  DirtySet dirty;
+  DirtySet& dirty = dirty_;
+  dirty.Clear();
   last_batch_.per_update.reserve(ops.size());
   for (const UpdateOp& op : ops) {
-    BatchUpdateStats ustat;
+    BatchOpStats ustat;
     ustat.is_insert = op.is_insert;
     ustat.edge = op.edge;
     const uint64_t work_before = meter.work;
@@ -496,9 +307,15 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
       } else {
         std::vector<NodeId> clique;
         if (FindFreeCliqueWithEdge(u, v, &clique)) {
-          // Brand-new all-free clique: add directly (see InsertEdge for
-          // why no swap can follow), rebuild its candidates at the
-          // boundary.
+          // Brand-new all-free clique: add directly. AddSolutionClique
+          // kills every candidate (of any owner) that used the consumed
+          // nodes as free nodes — without that kill, a later delete could
+          // pack a stale candidate into the solution and break
+          // disjointness (pinned by the StaleCandidate regression tests).
+          // Its candidates are rebuilt at the boundary but never swapped:
+          // each contains both u and v (any other combination was an
+          // all-free clique of the pre-insert graph, contradicting
+          // maximality), so no two of them are disjoint.
           const uint32_t slot = state_->AddSolutionClique(clique);
           ustat.direct_add = true;
           ustat.slots_marked += dirty.MarkRebuild(slot) ? 1 : 0;
@@ -517,8 +334,8 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
       const uint32_t cu = state_->CliqueOf(u);
       const uint32_t cv = state_->CliqueOf(v);
       if (cu != SolutionState::kNoClique && cu == cv) {
-        // The edge broke solution clique C: mandatory repair, batched or
-        // not. The replacement's rebuilds join the epoch's dirty set.
+        // The edge broke solution clique C: mandatory repair. The
+        // replacement's rebuilds join the epoch's dirty set.
         ustat.repaired = true;
         if (dirty.IsActive(cu)) {
           // Earlier ops of this epoch deferred C's rebuild, so its indexed
@@ -527,8 +344,7 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
           // maximality invariant rests on the packing being maximal over
           // C's *complete* candidates (a missed one goes all-free once C
           // dies and nothing ever materializes it). Settle the owed
-          // rebuild now; a batch of one can never mark the slot it
-          // repairs, so the unbatched equivalence is untouched.
+          // rebuild now (a one-op epoch never reaches this).
           state_->RebuildCandidatesFor(cu, &meter);
         }
         dirty.Deactivate(cu);
@@ -544,37 +360,28 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
   }
 
   // --- boundary: one deduped rebuild fan-out, one swap loop ------------
-  std::vector<uint32_t> slots;
-  std::vector<const DirtySet::Mark*> marks;
-  dirty.ForEachActive([&](uint32_t slot, const DirtySet::Mark& mark) {
-    slots.push_back(slot);
-    marks.push_back(&mark);
-  });
-  std::vector<size_t> counts;
+  std::vector<uint32_t>& slots = dirty_slots_;
+  slots.clear();
+  dirty.CollectActive(&slots);
+  std::vector<size_t>& counts = rebuild_counts_;
   state_->RebuildCandidatesForMany(slots, pool_, &counts, &meter);
 
-  SwapQueue queue;
+  SwapQueue& queue = swap_queue_;  // TrySwapLoop always drains it
   for (size_t i = 0; i < slots.size(); ++i) {
-    const DirtySet::Mark& mark = *marks[i];
-    bool enqueue = mark.want_any && counts[i] > 0;
-    if (!enqueue && counts[i] > 0 && !mark.probes.empty()) {
-      for (const auto& cand : state_->CandidatesOf(slots[i])) {
-        for (const auto& [pu, pv] : mark.probes) {
-          const auto& nodes = cand.nodes;
-          if (std::find(nodes.begin(), nodes.end(), pu) != nodes.end() &&
-              std::find(nodes.begin(), nodes.end(), pv) != nodes.end()) {
-            enqueue = true;
-            break;
-          }
-        }
-        if (enqueue) break;
-      }
-    }
+    if (counts[i] == 0) continue;
+    const DirtySet::Mark& mark = dirty.mark(slots[i]);
+    const bool enqueue =
+        mark.want_any ||
+        std::any_of(mark.probes.begin(), mark.probes.end(),
+                    [&](const Edge& e) {
+                      return state_->HasCandidateWithEdge(slots[i], e.first,
+                                                          e.second);
+                    });
     if (enqueue) queue.push_back(state_->RefOf(slots[i]));
   }
   const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter, pool_);
 
-  // --- finalize: stats, counters, publish ------------------------------
+  // --- finalize: stats and lifetime counters ---------------------------
   last_batch_.updates = ops.size();
   last_batch_.dirty_slots = slots.size();
   last_batch_.work = meter.work;
@@ -582,11 +389,9 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
   last_batch_.swaps = swaps;
   updates_applied_ += ops.size();
   ++epoch_;
-  ++batches_applied_;
-  batched_updates_ += ops.size();
   batch_dirty_rebuilds_ += slots.size();
-  FinishUpdate(meter, swaps);  // the epoch aggregate, one epoch = one entry
-  PublishView();
+  aborted_updates_ += last_batch_.aborted() ? 1 : 0;
+  Accumulate(&swap_stats_, swaps);
   return Status::OK();
 }
 

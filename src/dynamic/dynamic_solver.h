@@ -13,6 +13,7 @@
 
 #include "core/solver.h"
 #include "dynamic/candidate_index.h"
+#include "dynamic/dirty_set.h"
 #include "dynamic/solution_view.h"
 #include "dynamic/swap.h"
 #include "dynamic/workload.h"
@@ -22,9 +23,9 @@ namespace dkc {
 
 /// Node-id growth admission: an insert endpoint must be below
 /// max(2·n, n + kNodeIdGrowthSlack), where n is the node count when the
-/// InsertEdge/ApplyBatch call starts. That allows amortised doubling (and
-/// room to grow small graphs) while refusing an id that would make the
-/// graph allocate billions of nodes.
+/// ApplyBatch call starts. That allows amortised doubling (and room to
+/// grow small graphs) while refusing an id that would make the graph
+/// allocate billions of nodes.
 inline constexpr NodeId kNodeIdGrowthSlack = 65536;
 
 struct DynamicOptions {
@@ -32,8 +33,8 @@ struct DynamicOptions {
   /// Static method that seeds the initial solution.
   Method initial_method = Method::kLP;
   Budget initial_budget;
-  /// Per-update maintenance budget for InsertEdge/DeleteEdge: time_ms is a
-  /// wall-clock deadline per update (consulted at swap-pop boundaries),
+  /// Per-update maintenance budget: time_ms is a wall-clock deadline per
+  /// ApplyBatch call (consulted at swap-pop boundaries),
   /// max_branch_nodes a *deterministic* work cap (units: swap pops +
   /// candidate rebuilds + DFS branch nodes entered during rebuild
   /// enumerations). Exhaustion never corrupts the solution — structural
@@ -42,18 +43,18 @@ struct DynamicOptions {
   /// cut at a pop boundary and an oversized rebuild enumeration at a DFS
   /// branch boundary (the slot's candidate set may then be incomplete
   /// until its next rebuild — see update_work.h). Both cuts are surfaced
-  /// through last_update_stats(). With a pure work cap the abort outcome
+  /// through last_batch_stats(). With a pure work cap the abort outcome
   /// is byte-identical at every thread count. Zero fields = unlimited.
   Budget update_budget;
   /// Worker pool for the initial solve + index build *and* the per-update
-  /// parallel paths (candidate-rebuild fan-out in insertions and swap
+  /// parallel paths (the epoch's candidate-rebuild fan-out and swap
   /// commits, packing's candidate sort). Solutions and abort outcomes are
   /// byte-identical at any thread count.
   ThreadPool* pool = nullptr;
   /// Minimum rebuild batch size before the per-update candidate-rebuild
   /// fan-out engages the pool (scheduling only; results identical). The
-  /// 2-3-slot batches typical per update lose to the Submit/Wait round
-  /// trip, hence the high default; tune on multi-core hosts.
+  /// 2-3-slot rebuilds typical of a one-op epoch lose to the Submit/Wait
+  /// round trip, hence the high default; tune on multi-core hosts.
   size_t parallel_rebuild_min_slots = 8;
 };
 
@@ -62,22 +63,8 @@ struct DynamicBuildStats {
   double index_ms = 0.0;  // Algorithm 5 over the whole solution (Table VII)
 };
 
-/// Outcome of the most recent InsertEdge/DeleteEdge (budget/abort
-/// accounting; the Status return carries only hard argument errors).
-struct UpdateStats {
-  uint64_t work = 0;  // deterministic units charged (see UpdateWork)
-  /// Rebuild enumerations the work cap truncated mid-DFS this update
-  /// (valid-but-incomplete candidate sets; see update_work.h).
-  uint64_t rebuild_cuts = 0;
-  SwapStats swaps;    // this update's swap activity
-
-  /// True iff update_budget truncated any of this update's maintenance —
-  /// the swap loop at a pop boundary or a rebuild mid-enumeration.
-  bool aborted() const { return swaps.aborted || rebuild_cuts > 0; }
-};
-
 /// Per-update slice of an ApplyBatch epoch (see BatchStats::per_update).
-struct BatchUpdateStats {
+struct BatchOpStats {
   bool is_insert = false;
   Edge edge{0, 0};
   /// Meter units charged while staging this op (mandatory structural work:
@@ -93,11 +80,11 @@ struct BatchUpdateStats {
   bool repaired = false;
 };
 
-/// Outcome of the most recent ApplyBatch epoch: per-epoch aggregates (the
-/// epoch shares one deterministic UpdateWork meter, scaled to the batch
-/// size) plus the per-update breakdown. After an ApplyBatch the epoch
-/// aggregate is also folded into last_update_stats()/aborted_updates(),
-/// one epoch counting as one "update" there.
+/// Outcome of the most recent ApplyBatch epoch — InsertEdge/DeleteEdge are
+/// one-op epochs: per-epoch aggregates (the epoch shares one deterministic
+/// UpdateWork meter, scaled to the batch size) plus the per-update
+/// breakdown. The Status return carries only hard argument errors; budget
+/// truncation is reported here.
 struct BatchStats {
   size_t updates = 0;
   size_t inserts = 0;
@@ -107,11 +94,15 @@ struct BatchStats {
   /// slots-marked-summed-over-updates is the measurable dedup win on
   /// bursty neighborhoods.
   size_t dirty_slots = 0;
-  uint64_t work = 0;          // whole-epoch meter total
-  uint64_t rebuild_cuts = 0;  // boundary rebuilds the cap truncated
-  SwapStats swaps;            // the boundary swap loop
-  std::vector<BatchUpdateStats> per_update;
+  uint64_t work = 0;  // whole-epoch meter total (see UpdateWork)
+  /// Rebuild enumerations the work cap truncated mid-DFS this epoch
+  /// (valid-but-incomplete candidate sets; see update_work.h).
+  uint64_t rebuild_cuts = 0;
+  SwapStats swaps;    // the boundary swap loop
+  std::vector<BatchOpStats> per_update;
 
+  /// True iff update_budget truncated any of this epoch's maintenance —
+  /// the swap loop at a pop boundary or a rebuild mid-enumeration.
   bool aborted() const { return swaps.aborted || rebuild_cuts > 0; }
 };
 
@@ -141,15 +132,16 @@ class DynamicSolver {
   /// The engine state (exposed for the durable store's snapshot writer).
   const SolutionState& state() const { return *state_; }
 
-  /// Algorithm 6. Returns InvalidArgument if the edge already exists,
-  /// u == v, or an endpoint is past the growth limit (kNodeIdGrowthSlack).
-  /// New node ids below it grow the graph.
+  /// Algorithm 6, as ApplyBatch of one insert. Returns InvalidArgument if
+  /// the edge already exists, u == v, or an endpoint is past the growth
+  /// limit (kNodeIdGrowthSlack). New node ids below it grow the graph.
   Status InsertEdge(NodeId u, NodeId v);
 
-  /// Algorithm 7. Returns NotFound if the edge does not exist.
+  /// Algorithm 7, as ApplyBatch of one delete. Returns NotFound if the
+  /// edge does not exist.
   Status DeleteEdge(NodeId u, NodeId v);
 
-  /// Epoch-batched apply — the high-throughput ingestion path. Validates
+  /// The engine's one update path (Algorithms 6 and 7 per op). Validates
   /// the whole batch up front (ValidateBatch) and rejects it atomically,
   /// state untouched, if any op is invalid. Otherwise every op's
   /// *mandatory* structural effect is applied in stream order (graph
@@ -158,17 +150,16 @@ class DynamicSolver {
   /// rebuilds are only *marked*; at the epoch boundary each dirty slot is
   /// rebuilt exactly once via a single RebuildCandidatesForMany fan-out —
   /// the dedup win on bursty streams, and batches finally big enough to
-  /// feed parallel_rebuild_min_slots — followed by one swap loop and an
-  /// atomic SolutionView publish.
+  /// feed parallel_rebuild_min_slots — followed by one swap loop. It does
+  /// not publish: callers that serve readers call PublishView() at their
+  /// own boundaries (DurableStore::ApplyBatch does, once per epoch).
   ///
   /// Determinism contract: batch boundaries are part of the stream. The
   /// epoch shares one UpdateWork meter whose deterministic cap scales to
   /// the batch (update_budget.max_branch_nodes × ops.size()) with the
   /// same schedule-independent abort boundaries, so for a fixed stream
   /// *and fixed batching* the outcome is byte-identical at any thread
-  /// count; ApplyBatch of a single op is byte-identical to the
-  /// corresponding InsertEdge/DeleteEdge. An empty batch is a no-op (no
-  /// epoch, no publish).
+  /// count. An empty batch is a no-op (no epoch).
   Status ApplyBatch(std::span<const UpdateOp> ops);
 
   /// The batch-level precondition check ApplyBatch runs: each op must be
@@ -182,16 +173,14 @@ class DynamicSolver {
   /// Stats of the most recent successful ApplyBatch (reset to empty by an
   /// errored call — no stale per-update entries survive a rejected batch).
   const BatchStats& last_batch_stats() const { return last_batch_; }
-  /// Lifetime batched-ingestion counters: epochs applied, updates applied
-  /// through them, and deduped dirty-slot rebuilds at their boundaries
-  /// (batch_dirty_rebuilds < batched_updates_applied on bursty streams is
-  /// the dedup headline).
-  uint64_t batches_applied() const { return batches_applied_; }
-  uint64_t batched_updates_applied() const { return batched_updates_; }
+  /// Lifetime counters since Build/FromState: updates applied, and deduped
+  /// dirty-slot rebuilds at the epoch boundaries (batch_dirty_rebuilds <
+  /// updates_applied on bursty streams is the dedup headline).
+  uint64_t updates_applied() const { return updates_applied_; }
   uint64_t batch_dirty_rebuilds() const { return batch_dirty_rebuilds_; }
 
-  /// Epochs published (0 until the first ApplyBatch; Build publishes the
-  /// initial solution as epoch 0).
+  /// Epochs applied: successful non-empty ApplyBatch calls, each
+  /// InsertEdge/DeleteEdge counting as one (the build is epoch 0).
   uint64_t epoch() const { return epoch_; }
   /// The last published read snapshot — lock-free for readers; never
   /// blocks on (and is never torn by) a concurrent ApplyBatch. See
@@ -199,9 +188,10 @@ class DynamicSolver {
   std::shared_ptr<const SolutionView> published_view() const {
     return publisher_->Current();
   }
-  /// Re-publish the current state under the current epoch. The unbatched
-  /// InsertEdge/DeleteEdge paths do not publish automatically; callers
-  /// mixing them with concurrent readers publish at their own boundaries.
+  /// Publish the current state under the current epoch. Build/FromState
+  /// publish epoch 0; after that the engine never publishes on its own —
+  /// the caller serving readers decides when (DurableStore publishes after
+  /// every ApplyBatch epoch and once after recovery replay).
   void PublishView();
 
   NodeId solution_size() const { return state_->solution_size(); }
@@ -209,9 +199,8 @@ class DynamicSolver {
   const DynamicBuildStats& build_stats() const { return build_stats_; }
   const SwapStats& lifetime_swap_stats() const { return swap_stats_; }
 
-  /// Budget/abort outcome of the most recent update.
-  const UpdateStats& last_update_stats() const { return last_update_; }
-  /// Lifetime count of updates whose maintenance the budget truncated.
+  /// Lifetime count of epochs (one per InsertEdge/DeleteEdge) whose
+  /// maintenance the budget truncated.
   uint64_t aborted_updates() const { return aborted_updates_; }
   /// Entries (alive + stale) across the index's per-node candidate lists;
   /// bounded by compaction (see SolutionState::node_cand_ref_count).
@@ -253,18 +242,8 @@ class DynamicSolver {
   // The owners of would-be candidate cliques through the new edge (u,v) —
   // the exact Algorithm-6 lines 12-15 enumeration (both endpoints free, no
   // all-free clique found), sorted, deduped, dead slots dropped. Uncharged:
-  // the rebuilds it feeds carry the meter. Shared verbatim by the serial
-  // path and the batched staging so their dirty sets agree bit-for-bit.
+  // the boundary rebuilds it feeds carry the meter.
   std::vector<uint32_t> CollectOwnersOfNewCandidates(NodeId u, NodeId v) const;
-
-  // Registers the owners of would-be candidate cliques through the new
-  // edge (u,v), charging `meter`, and pushes the ones that gained
-  // candidates to `queue` (Algorithm 6, lines 12-15).
-  void EnqueueOwnersOfNewCandidates(NodeId u, NodeId v, SwapQueue* queue,
-                                    UpdateWork* meter);
-
-  // Folds one update's meter + swap outcome into the surfaced stats.
-  void FinishUpdate(const UpdateWork& meter, const SwapStats& swaps);
 
   std::unique_ptr<SolutionState> state_;  // stable address for internals
   DynamicBuildStats build_stats_;
@@ -274,13 +253,17 @@ class DynamicSolver {
   // readers hold the publisher, not the solver.
   std::unique_ptr<SolutionPublisher> publisher_;
   SwapStats swap_stats_;
-  UpdateStats last_update_;
   BatchStats last_batch_;
+  // Epoch scratch kept across calls so a one-op epoch does not allocate
+  // it afresh: the dirty set (cleared over the slots it touched), the
+  // boundary's slot list and rebuild counts, and the swap queue.
+  DirtySet dirty_;
+  std::vector<uint32_t> dirty_slots_;
+  std::vector<size_t> rebuild_counts_;
+  SwapQueue swap_queue_;
   uint64_t aborted_updates_ = 0;
   uint64_t updates_applied_ = 0;
   uint64_t epoch_ = 0;
-  uint64_t batches_applied_ = 0;
-  uint64_t batched_updates_ = 0;
   uint64_t batch_dirty_rebuilds_ = 0;
 };
 

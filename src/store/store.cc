@@ -99,15 +99,17 @@ StatusOr<DurableStore> DurableStore::Open(const std::string& snapshot_path,
   if (!solver.ok()) return solver.status();
 
   // Replay the tail past the snapshot, segment by segment — a segment is
-  // one bare record or one committed group (an epoch), replayed through
-  // the same engine entry point the original run used so recovery is
-  // byte-identical. Segments at or before applied_seq are already
-  // reflected (a crash can land between the snapshot publish and the WAL
-  // compaction of a checkpoint); anything else must chain consecutively
-  // from applied_seq. Checkpoints only land at segment boundaries, so a
-  // segment straddling the snapshot seq is corruption.
+  // one bare record or one committed group, replayed as one engine epoch
+  // exactly as the original run applied it, so recovery is byte-identical
+  // (Apply logs a bare record and applies it as a one-op epoch). Segments
+  // at or before applied_seq are already reflected (a crash can land
+  // between the snapshot publish and the WAL compaction of a checkpoint);
+  // anything else must chain consecutively from applied_seq. Checkpoints
+  // only land at segment boundaries, so a segment straddling the snapshot
+  // seq is corruption.
   uint64_t seq = loaded->meta.applied_seq;
   uint64_t replayed = 0;
+  std::vector<UpdateOp> ops;
   for (const WalSegment& seg : scan->segments) {
     const WalRecord& first = scan->records[seg.first];
     const WalRecord& last = scan->records[seg.first + seg.count - 1];
@@ -123,18 +125,12 @@ StatusOr<DurableStore> DurableStore::Open(const std::string& snapshot_path,
           "WAL '" + wal_path + "' starts at seq " + std::to_string(first.seq) +
           " but snapshot covers through " + std::to_string(seq));
     }
-    Status applied = Status::OK();
-    if (seg.batched) {
-      std::vector<UpdateOp> ops(seg.count);
-      for (size_t j = 0; j < seg.count; ++j) {
-        const WalRecord& rec = scan->records[seg.first + j];
-        ops[j] = UpdateOp{rec.is_insert, {rec.u, rec.v}};
-      }
-      applied = solver->ApplyBatch(ops);
-    } else {
-      applied = first.is_insert ? solver->InsertEdge(first.u, first.v)
-                                : solver->DeleteEdge(first.u, first.v);
+    ops.clear();
+    for (size_t j = 0; j < seg.count; ++j) {
+      const WalRecord& rec = scan->records[seg.first + j];
+      ops.push_back(UpdateOp{rec.is_insert, {rec.u, rec.v}});
     }
+    const Status applied = solver->ApplyBatch(ops);
     if (!applied.ok()) {
       // Apply/ApplyBatch validate before logging, so every logged segment
       // must apply cleanly to the deterministic replay state.
@@ -145,6 +141,9 @@ StatusOr<DurableStore> DurableStore::Open(const std::string& snapshot_path,
     seq = last.seq;
     replayed += seg.count;
   }
+  // One publish for the whole replay: readers of the recovered store see
+  // the recovered state, not the snapshot's.
+  if (replayed > 0) solver->PublishView();
 
   auto wal = WalWriter::Open(wal_path);
   if (!wal.ok()) return wal.status();
@@ -168,8 +167,8 @@ Status DurableStore::Apply(const UpdateOp& op) {
   if (sealed()) return seal_;
   // Validate against the live graph before logging: the WAL must contain
   // only records that replay cleanly.
-  DKC_RETURN_IF_ERROR(
-      solver_->ValidateBatch(std::span<const UpdateOp>(&op, 1)));
+  const std::span<const UpdateOp> one(&op, 1);
+  DKC_RETURN_IF_ERROR(solver_->ValidateBatch(one));
   const auto [u, v] = op.edge;
 
   WalRecord rec;
@@ -182,8 +181,7 @@ Status DurableStore::Apply(const UpdateOp& op) {
   // durable boundary unknown (see the header's syscall-failure policy).
   if (!logged.ok()) return Seal(logged);
 
-  const Status applied =
-      op.is_insert ? solver_->InsertEdge(u, v) : solver_->DeleteEdge(u, v);
+  const Status applied = solver_->ApplyBatch(one);
   if (!applied.ok()) {
     return Seal(Status::Internal("validated update rejected by engine: " +
                                  applied.ToString()));
@@ -229,6 +227,7 @@ Status DurableStore::ApplyBatch(std::span<const UpdateOp> ops) {
                                  applied.ToString()));
   }
   applied_seq_ = recs.back().seq;
+  solver_->PublishView();  // readers see every acknowledged epoch
 
   if (options_.checkpoint_every > 0 &&
       applied_seq_ - checkpoint_seq_ >= options_.checkpoint_every) {

@@ -2,11 +2,14 @@
 // survives the process.
 //
 // Durability contract:
-//  * Apply = validate → WAL append (fsync) → in-memory engine apply. An
-//    acknowledged update is on disk before it is visible in memory.
+//  * Apply = validate → WAL append (fsync) → in-memory engine apply (a
+//    one-op epoch). An acknowledged update is on disk before it is
+//    visible in memory. Apply does not publish a SolutionView; callers
+//    serving readers from Apply traffic call solver().PublishView().
 //  * ApplyBatch = validate the whole epoch → WAL *group commit* (members
 //    + commit marker, one buffered write, one fsync) → engine epoch
-//    apply. N updates, one fsync — the throughput path. A crash anywhere
+//    apply → SolutionView publish. N updates, one fsync — the throughput
+//    path; readers see every acknowledged epoch. A crash anywhere
 //    inside the group window (during the append, or between the flush and
 //    the engine apply) recovers to the previous epoch boundary: members
 //    without a commit marker are never replayed.
@@ -14,11 +17,13 @@
 //    compaction to empty. A crash between the two leaves WAL records the
 //    snapshot already covers; recovery skips them by sequence number.
 //  * Open = load snapshot, scan WAL (truncating a torn tail), replay the
-//    records past the snapshot's seq through the engine. Because the
-//    snapshot captures the engine state verbatim and every update is
-//    deterministic, the recovered solver is byte-identical to the one
-//    that never crashed — same solution, same candidate index, same
-//    future tie-breaks (store_test pins this at injected kill points).
+//    records past the snapshot's seq through the engine — each bare
+//    record or group as one ApplyBatch epoch — then publish the recovered
+//    state once. Because the snapshot captures the engine state verbatim
+//    and every update is deterministic, the recovered solver is
+//    byte-identical to the one that never crashed — same solution, same
+//    candidate index, same future tie-breaks (store_test pins this at
+//    injected kill points).
 //    Deterministic replay presumes deterministic budgets: a wall-clock
 //    update_budget.time_ms waives byte-identity (max_branch_nodes keeps
 //    it).
@@ -107,15 +112,16 @@ class DurableStore {
                                      const std::string& wal_path,
                                      const StoreOptions& options);
 
-  /// Log and apply one edge update. InvalidArgument/NotFound for updates
-  /// the engine would reject (nothing is logged for those).
+  /// Log and apply one edge update (no view publish). InvalidArgument/
+  /// NotFound for updates the engine would reject (nothing is logged for
+  /// those).
   Status Apply(const UpdateOp& op);
 
   /// Log and apply one epoch of updates under group commit: the whole
   /// batch is validated first (rejected atomically with nothing logged if
   /// any op is invalid), appended as one WAL group frame with a single
-  /// fsync, then applied through DynamicSolver::ApplyBatch. An empty
-  /// batch is a no-op.
+  /// fsync, then applied through DynamicSolver::ApplyBatch and published
+  /// as the solver's new SolutionView. An empty batch is a no-op.
   Status ApplyBatch(std::span<const UpdateOp> ops);
 
   /// Snapshot now and compact the WAL. With keep_snapshots > 1 the

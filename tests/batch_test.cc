@@ -72,8 +72,7 @@ TEST(BatchTest, FuzzedEpochsKeepEveryInvariant) {
 
       // Counters track the stream position exactly.
       EXPECT_EQ(solver->epoch(), epochs);
-      EXPECT_EQ(solver->batches_applied(), epochs);
-      EXPECT_EQ(solver->batched_updates_applied(), updates_applied);
+      EXPECT_EQ(solver->updates_applied(), updates_applied);
 
       // The per-update breakdown mirrors the epoch's ops one to one, and
       // the deduped dirty-slot count never exceeds the per-op markings.
@@ -100,7 +99,10 @@ TEST(BatchTest, FuzzedEpochsKeepEveryInvariant) {
       ASSERT_TRUE(
           VerifySolution(solver->graph().ToGraph(), solver->Snapshot()).ok());
 
-      // The published view is the epoch-boundary snapshot readers see.
+      // The engine never publishes on its own; the caller's PublishView is
+      // the epoch-boundary snapshot readers see.
+      EXPECT_EQ(solver->published_view()->epoch, epochs - 1);
+      solver->PublishView();
       const auto view = solver->published_view();
       ASSERT_NE(view, nullptr);
       EXPECT_EQ(view->epoch, epochs);
@@ -223,7 +225,7 @@ TEST(BatchTest, InvalidBatchesAreRejectedAtomically) {
     EXPECT_EQ(solver->index_size(), index_before);
     EXPECT_EQ(solver->last_batch_stats().updates, 0u);
     EXPECT_EQ(solver->last_batch_stats().per_update.size(), 0u);
-    EXPECT_EQ(solver->last_update_stats().work, 0u);
+    EXPECT_EQ(solver->last_batch_stats().work, 0u);
     std::string error;
     ASSERT_TRUE(solver->CheckInvariants(&error)) << error;
   }
@@ -244,7 +246,7 @@ TEST(BatchTest, EmptyBatchIsANoOp) {
   const auto view_before = solver->published_view();
   ASSERT_TRUE(solver->ApplyBatch({}).ok());
   EXPECT_EQ(solver->epoch(), 0u);
-  EXPECT_EQ(solver->batches_applied(), 0u);
+  EXPECT_EQ(solver->updates_applied(), 0u);
   // No epoch boundary, no publish: readers keep the same view object.
   EXPECT_EQ(solver->published_view(), view_before);
 }
@@ -262,12 +264,15 @@ TEST(BatchTest, PublishedViewSurvivesLaterEpochs) {
   const std::span<const UpdateOp> all(ops);
 
   ASSERT_TRUE(solver->ApplyBatch(all.subspan(0, 20)).ok());
+  solver->PublishView();
   const auto held = solver->published_view();
   const auto held_solution = ToVectors(held->solution);
   const uint64_t held_epoch = held->epoch;
 
   ASSERT_TRUE(solver->ApplyBatch(all.subspan(20, 20)).ok());
+  solver->PublishView();
   ASSERT_TRUE(solver->ApplyBatch(all.subspan(40, 20)).ok());
+  solver->PublishView();
 
   // The old view is untouched by the two later publishes.
   EXPECT_EQ(held->epoch, held_epoch);

@@ -163,25 +163,24 @@ TEST(SolutionStateTest, ParallelRebuildMatchesSerial) {
 }
 
 TEST(SolutionStateTest, RebuildReportsEdgeCandidateDirectly) {
-  // Satellite 3: the rebuild answers "did (u,v) create a candidate here?"
-  // during registration, replacing InsertEdge's CandidatesOf re-scan.
+  // The insert probe: "did (u,v) create a candidate here?" is answered by
+  // walking the slot's alive candidates in place after its rebuild.
   Graph g = PaperFig5G2();
   SolutionState state = Fig5State(g);
   const uint32_t c1 = state.CliqueOf(2);
-  // Candidate (v5,v6,v7) = (4,5,6) goes through edge (4,6); (v1,v2) = (0,1)
-  // only appears in candidate (0,1,2).
-  auto outcome = state.RebuildCandidatesFor(c1, 4, 6);
-  EXPECT_EQ(outcome.candidates, 2u);
-  EXPECT_TRUE(outcome.has_edge);
-  outcome = state.RebuildCandidatesFor(c1, 0, 1);
-  EXPECT_EQ(outcome.candidates, 2u);
-  EXPECT_TRUE(outcome.has_edge);
-  // (v1, v6) = (0, 5): no candidate contains both.
-  outcome = state.RebuildCandidatesFor(c1, 0, 5);
-  EXPECT_EQ(outcome.candidates, 2u);
-  EXPECT_FALSE(outcome.has_edge);
-  // The count-only overload agrees.
   EXPECT_EQ(state.RebuildCandidatesFor(c1), 2u);
+  // Candidate (v5,v6,v7) = (4,5,6) goes through edge (4,6); (v1,v2) = (0,1)
+  // only appears in candidate (0,1,2). Endpoint order does not matter.
+  EXPECT_TRUE(state.HasCandidateWithEdge(c1, 4, 6));
+  EXPECT_TRUE(state.HasCandidateWithEdge(c1, 6, 4));
+  EXPECT_TRUE(state.HasCandidateWithEdge(c1, 0, 1));
+  // (v1, v6) = (0, 5): no candidate contains both.
+  EXPECT_FALSE(state.HasCandidateWithEdge(c1, 0, 5));
+  // Dead candidates are not probed: cutting (4,6) kills (4,5,6).
+  state.graph().DeleteEdge(4, 6);
+  state.KillCandidatesWithEdge(4, 6);
+  EXPECT_FALSE(state.HasCandidateWithEdge(c1, 4, 6));
+  EXPECT_TRUE(state.HasCandidateWithEdge(c1, 0, 1));
 }
 
 TEST(SolutionStateTest, RebuildManyMatchesSerialExactly) {

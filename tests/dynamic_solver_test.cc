@@ -426,10 +426,10 @@ TEST(DynamicSolverTest, UpdateBudgetAbortIsSurfacedAndSolutionStaysValid) {
   ASSERT_TRUE(solver.ok()) << solver.status().ToString();
   ASSERT_EQ(solver->solution_size(), 2u);
   ASSERT_TRUE(solver->InsertEdge(4, 6).ok());
-  EXPECT_TRUE(solver->last_update_stats().aborted());
+  EXPECT_TRUE(solver->last_batch_stats().aborted());
   EXPECT_EQ(solver->aborted_updates(), 1u);
-  EXPECT_GE(solver->last_update_stats().work, 1u);
-  EXPECT_EQ(solver->last_update_stats().swaps.commits, 0u);
+  EXPECT_GE(solver->last_batch_stats().work, 1u);
+  EXPECT_EQ(solver->last_batch_stats().swaps.commits, 0u);
   EXPECT_EQ(solver->solution_size(), 2u);  // growth skipped, not corrupted
   std::string error;
   EXPECT_TRUE(solver->CheckInvariants(&error)) << error;
@@ -441,27 +441,27 @@ TEST(DynamicSolverTest, UnlimitedBudgetNeverAborts) {
   auto solver = Fig5Solver(Opts(3));
   ASSERT_TRUE(solver.ok()) << solver.status().ToString();
   ASSERT_TRUE(solver->InsertEdge(4, 6).ok());
-  EXPECT_FALSE(solver->last_update_stats().aborted());
+  EXPECT_FALSE(solver->last_batch_stats().aborted());
   EXPECT_EQ(solver->aborted_updates(), 0u);
-  EXPECT_EQ(solver->last_update_stats().swaps.commits, 1u);
-  EXPECT_GT(solver->last_update_stats().work, 0u);
+  EXPECT_EQ(solver->last_batch_stats().swaps.commits, 1u);
+  EXPECT_GT(solver->last_batch_stats().work, 0u);
   EXPECT_EQ(solver->solution_size(), 3u);
 }
 
-TEST(DynamicSolverTest, ErroredUpdatesResetLastUpdateStats) {
-  // last_update_stats() describes the *most recent call*: a rejected
+TEST(DynamicSolverTest, ErroredUpdatesResetLastBatchStats) {
+  // last_batch_stats() describes the *most recent call*: a rejected
   // duplicate-insert or missing-delete must not leave the previous
   // update's work/abort outcome dangling.
   auto solver = Fig5Solver(Opts(3));
   ASSERT_TRUE(solver.ok()) << solver.status().ToString();
   ASSERT_TRUE(solver->InsertEdge(4, 6).ok());
-  ASSERT_GT(solver->last_update_stats().work, 0u);
+  ASSERT_GT(solver->last_batch_stats().work, 0u);
   EXPECT_FALSE(solver->InsertEdge(4, 6).ok());  // duplicate
-  EXPECT_EQ(solver->last_update_stats().work, 0u);
-  EXPECT_EQ(solver->last_update_stats().swaps.commits, 0u);
+  EXPECT_EQ(solver->last_batch_stats().work, 0u);
+  EXPECT_EQ(solver->last_batch_stats().swaps.commits, 0u);
   EXPECT_FALSE(solver->DeleteEdge(0, 7).ok());  // no such edge
-  EXPECT_EQ(solver->last_update_stats().work, 0u);
-  EXPECT_FALSE(solver->last_update_stats().aborted());
+  EXPECT_EQ(solver->last_batch_stats().work, 0u);
+  EXPECT_FALSE(solver->last_batch_stats().aborted());
 }
 
 // Satellite-2 regression: long delete-heavy streams used to grow stale refs

@@ -87,25 +87,12 @@ TestWorld MakeWorld(size_t op_count, uint64_t seed) {
   return world;
 }
 
-/// Reference run that never touches disk: Build + apply ops[0..count).
-DynamicSolver ReferenceRun(const TestWorld& world, size_t count) {
-  auto solver = DynamicSolver::Build(world.graph, TestOptions());
-  EXPECT_TRUE(solver.ok()) << solver.status().ToString();
-  for (size_t i = 0; i < count; ++i) {
-    const auto& op = world.ops[i];
-    const Status s = op.is_insert
-                         ? solver->InsertEdge(op.edge.first, op.edge.second)
-                         : solver->DeleteEdge(op.edge.first, op.edge.second);
-    EXPECT_TRUE(s.ok()) << "op " << i << ": " << s.ToString();
-  }
-  return std::move(solver).value();
-}
-
-/// Batched reference: Build + ApplyBatch over ops[0..count) in epochs of
-/// `epoch` updates. Epoch boundaries are part of the stream, so recovery
-/// of a batched store must be compared against *this*, not ReferenceRun.
-DynamicSolver BatchedReferenceRun(const TestWorld& world, size_t count,
-                                  size_t epoch) {
+/// Reference run that never touches disk: Build + ApplyBatch over
+/// ops[0..count) in epochs of `epoch` updates (1 = what Apply does).
+/// Epoch boundaries are part of the stream, so recovery of a batched store
+/// must be compared against the same `epoch`.
+DynamicSolver ReferenceRun(const TestWorld& world, size_t count,
+                           size_t epoch = 1) {
   auto solver = DynamicSolver::Build(world.graph, TestOptions());
   EXPECT_TRUE(solver.ok()) << solver.status().ToString();
   const std::span<const UpdateOp> all(world.ops);
@@ -521,6 +508,16 @@ StoreOptions MakeStoreOptions(uint64_t checkpoint_every = 0) {
   return options;
 }
 
+/// Readers of `solver` see its current state: the published view carries
+/// the engine's epoch and exactly its solution.
+void ExpectViewMatchesEngine(const DynamicSolver& solver) {
+  const auto view = solver.published_view();
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->epoch, solver.epoch());
+  EXPECT_EQ(SolutionToString(view->solution),
+            SolutionToString(solver.Snapshot()));
+}
+
 void CleanUp(const StorePaths& paths) {
   std::remove(paths.snapshot.c_str());
   std::remove(paths.wal.c_str());
@@ -872,13 +869,14 @@ TEST(StoreTest, BatchedApplyReopenIsByteIdentical) {
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (size_t i = 0; i < 32; i += kEpoch) {
       ASSERT_TRUE(store->ApplyBatch(all.subspan(i, kEpoch)).ok());
+      ExpectViewMatchesEngine(store->solver());  // published every epoch
     }
     EXPECT_EQ(store->applied_seq(), 32u);
     EXPECT_EQ(flushes, 4u);  // one group flush per epoch
   }
 
-  // Recovery replays the four committed groups through ApplyBatch — the
-  // same entry point, so byte-identical to the batched reference.
+  // Recovery replays the four committed groups as four epochs, so it is
+  // byte-identical to the batched reference.
   auto reopened =
       DurableStore::Open(paths.snapshot, paths.wal, MakeStoreOptions());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -886,14 +884,16 @@ TEST(StoreTest, BatchedApplyReopenIsByteIdentical) {
   EXPECT_EQ(reopened->replayed_records(), 32u);
   EXPECT_FALSE(reopened->recovered_torn_group());
   EXPECT_EQ(EngineFingerprint(reopened->solver()),
-            EngineFingerprint(BatchedReferenceRun(world, 32, kEpoch)));
+            EngineFingerprint(ReferenceRun(world, 32, kEpoch)));
+  ExpectViewMatchesEngine(reopened->solver());
 
   // Continue batched to the end; still identical.
   for (size_t i = 32; i < 64; i += kEpoch) {
     ASSERT_TRUE(reopened->ApplyBatch(all.subspan(i, kEpoch)).ok());
+    ExpectViewMatchesEngine(reopened->solver());
   }
   EXPECT_EQ(EngineFingerprint(reopened->solver()),
-            EngineFingerprint(BatchedReferenceRun(world, 64, kEpoch)));
+            EngineFingerprint(ReferenceRun(world, 64, kEpoch)));
   CleanUp(paths);
 }
 
@@ -923,7 +923,7 @@ TEST(StoreTest, KillPointInsideGroupCommitWindowReplaysWholeEpoch) {
   EXPECT_EQ(reopened->replayed_records(), 24u);
   EXPECT_FALSE(reopened->recovered_torn_group());  // committed, not torn
   EXPECT_EQ(EngineFingerprint(reopened->solver()),
-            EngineFingerprint(BatchedReferenceRun(world, 24, kEpoch)));
+            EngineFingerprint(ReferenceRun(world, 24, kEpoch)));
   CleanUp(paths);
 }
 
@@ -957,12 +957,12 @@ TEST(StoreTest, KillPointAtEveryGroupFrameCutRecoversToEpochBoundary) {
     EXPECT_TRUE(reopened->recovered_torn_tail() ||
                 reopened->recovered_torn_group());
     EXPECT_EQ(EngineFingerprint(reopened->solver()),
-              EngineFingerprint(BatchedReferenceRun(world, 12, kEpoch)));
+              EngineFingerprint(ReferenceRun(world, 12, kEpoch)));
     // The WAL was truncated to the boundary: the lost epoch re-applies.
     ASSERT_TRUE(reopened->ApplyBatch(all.subspan(12, kEpoch)).ok());
     EXPECT_EQ(reopened->applied_seq(), 18u);
     EXPECT_EQ(EngineFingerprint(reopened->solver()),
-              EngineFingerprint(BatchedReferenceRun(world, 18, kEpoch)));
+              EngineFingerprint(ReferenceRun(world, 18, kEpoch)));
   }
   CleanUp(paths);
 }
@@ -992,8 +992,8 @@ TEST(StoreTest, GroupStraddlingSnapshotBoundaryIsCorruption) {
 
 TEST(StoreTest, MixedBareAndBatchedTrafficReplaysThroughMatchingPaths) {
   // A log interleaving bare appends and group commits must replay each
-  // segment through the entry point that wrote it (batch boundaries are
-  // part of the stream).
+  // segment as the epoch that wrote it (batch boundaries are part of the
+  // stream): a bare record as a one-op epoch, a group as one epoch.
   TestWorld world = MakeWorld(20, 114);
   const StorePaths paths = MakeStorePaths("mixed_traffic");
   const std::span<const UpdateOp> all(world.ops);
@@ -1016,15 +1016,36 @@ TEST(StoreTest, MixedBareAndBatchedTrafficReplaysThroughMatchingPaths) {
   // The in-memory twin of the same interleaving.
   auto twin = DynamicSolver::Build(world.graph, TestOptions());
   ASSERT_TRUE(twin.ok());
-  auto apply_one = [&](const UpdateOp& op) {
-    return op.is_insert ? twin->InsertEdge(op.edge.first, op.edge.second)
-                        : twin->DeleteEdge(op.edge.first, op.edge.second);
-  };
-  ASSERT_TRUE(apply_one(world.ops[0]).ok());
+  ASSERT_TRUE(twin->ApplyBatch(all.subspan(0, 1)).ok());
   ASSERT_TRUE(twin->ApplyBatch(all.subspan(1, 8)).ok());
-  ASSERT_TRUE(apply_one(world.ops[9]).ok());
+  ASSERT_TRUE(twin->ApplyBatch(all.subspan(9, 1)).ok());
   ASSERT_TRUE(twin->ApplyBatch(all.subspan(10, 10)).ok());
   EXPECT_EQ(EngineFingerprint(reopened->solver()), EngineFingerprint(*twin));
+  CleanUp(paths);
+}
+
+TEST(StoreTest, RecoveredViewReflectsReplayedBareRecords) {
+  // Apply (bare records) never publishes, so what readers of a recovered
+  // store see comes from Open's publish after the replay — not the
+  // snapshot-time state the solver was restored from.
+  TestWorld world = MakeWorld(40, 115);
+  const StorePaths paths = MakeStorePaths("recovered_view");
+  std::string snapshot_time;
+  {
+    auto store = DurableStore::Create(world.graph, paths.snapshot, paths.wal,
+                                      MakeStoreOptions());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    snapshot_time = SolutionToString(store->solver().Snapshot());
+    for (const UpdateOp& op : world.ops) ASSERT_TRUE(store->Apply(op).ok());
+  }
+  auto reopened =
+      DurableStore::Open(paths.snapshot, paths.wal, MakeStoreOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ(reopened->replayed_records(), world.ops.size());
+  // The replay moved the solution, so a stale view would show.
+  ASSERT_NE(SolutionToString(reopened->solver().Snapshot()), snapshot_time);
+  EXPECT_EQ(reopened->solver().epoch(), world.ops.size());
+  ExpectViewMatchesEngine(reopened->solver());
   CleanUp(paths);
 }
 

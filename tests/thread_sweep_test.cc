@@ -175,126 +175,21 @@ TEST(ThreadSweepTest, OptOutcomesAreByteIdenticalAcrossThreadCounts) {
 
 // ---------------------------------------------------------------------------
 // Dynamic engine sweep: the same 10 random update streams the differential
-// harness fuzzes, replayed serially and across 1/2/4-thread pools, with and
-// without a per-update work budget. The pool parallelizes the candidate-
-// rebuild fan-outs and the packing sort; the budget's max_branch_nodes cap
-// is deterministic by design. So at every thread count the maintained
-// solution must be byte-identical after every update batch, and the
-// per-update abort outcomes must match the serial run exactly.
-
-struct StreamTrace {
-  std::vector<uint8_t> aborted;              // per update
-  std::vector<uint64_t> work;                // per update
-  std::vector<uint64_t> rebuild_cuts;        // per update (mid-DFS aborts)
-  std::vector<std::vector<std::vector<NodeId>>> snapshots;  // per batch
-  NodeId final_size = 0;
-};
-
-StreamTrace RunStream(const Graph& initial, const std::vector<UpdateOp>& ops,
-                      int k, ThreadPool* pool, uint64_t max_branch_nodes,
-                      int batch) {
-  DynamicOptions options;
-  options.k = k;
-  options.pool = pool;
-  options.update_budget.max_branch_nodes = max_branch_nodes;
-  auto solver = DynamicSolver::Build(initial, options);
-  EXPECT_TRUE(solver.ok()) << solver.status().ToString();
-  StreamTrace trace;
-  int step = 0;
-  for (const UpdateOp& op : ops) {
-    const Status status =
-        op.is_insert ? solver->InsertEdge(op.edge.first, op.edge.second)
-                     : solver->DeleteEdge(op.edge.first, op.edge.second);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    trace.aborted.push_back(solver->last_update_stats().aborted() ? 1 : 0);
-    trace.work.push_back(solver->last_update_stats().work);
-    trace.rebuild_cuts.push_back(solver->last_update_stats().rebuild_cuts);
-    if (++step % batch == 0) {
-      trace.snapshots.push_back(ToVectors(solver->Snapshot()));
-    }
-  }
-  trace.final_size = solver->solution_size();
-  std::string error;
-  EXPECT_TRUE(solver->CheckInvariants(&error)) << error;
-  return trace;
-}
-
-TEST(ThreadSweepTest, DynamicStreamsAreByteIdenticalAcrossThreadCounts) {
-  constexpr int kStreams = 10;
-  constexpr int kUpdatesPerStream = 220;
-  constexpr int kBatch = 20;
-  // Small enough that modest swap cascades hit it, large enough that most
-  // updates complete — both regimes must be exercised on every stream set.
-  constexpr uint64_t kUpdateWorkBudget = 8;
-  ThreadPool pool1(1), pool2(2), pool4(4);
-  ThreadPool* pools[] = {&pool1, &pool2, &pool4};
-
-  uint64_t budget_aborts = 0;
-  uint64_t budget_completions = 0;
-  uint64_t budget_rebuild_cuts = 0;
-  for (int stream = 0; stream < kStreams; ++stream) {
-    SCOPED_TRACE("stream=" + std::to_string(stream));
-    Rng rng(7300 + static_cast<uint64_t>(stream) * 97);
-    const NodeId n = 80 + static_cast<NodeId>(stream % 3) * 10;
-    const double p = 0.10 + 0.02 * static_cast<double>(stream % 4);
-    const Graph initial = ErdosRenyi(n, p, rng).value();
-    const int k = 3 + stream % 2;
-    const auto ops = MakeChurnStream(initial, kUpdatesPerStream, rng);
-
-    for (uint64_t budget : {uint64_t{0}, kUpdateWorkBudget}) {
-      SCOPED_TRACE("budget=" + std::to_string(budget));
-      const StreamTrace serial =
-          RunStream(initial, ops, k, nullptr, budget, kBatch);
-      for (size_t i = 0; i < serial.aborted.size(); ++i) {
-        if (budget == 0) {
-          ASSERT_EQ(serial.aborted[i], 0)
-              << "unlimited budget aborted an update";
-          ASSERT_EQ(serial.rebuild_cuts[i], 0u)
-              << "unlimited budget cut a rebuild";
-        } else {
-          (serial.aborted[i] != 0 ? budget_aborts : budget_completions) += 1;
-          budget_rebuild_cuts += serial.rebuild_cuts[i];
-        }
-      }
-      for (ThreadPool* pool : pools) {
-        SCOPED_TRACE("threads=" + std::to_string(pool->num_threads()));
-        const StreamTrace pooled =
-            RunStream(initial, ops, k, pool, budget, kBatch);
-        // Identical abort outcomes, update by update — including where the
-        // budget cut a rebuild enumeration mid-DFS (the pooled fan-out
-        // replays the serial DFS's truncation point exactly)...
-        EXPECT_EQ(pooled.aborted, serial.aborted);
-        EXPECT_EQ(pooled.work, serial.work);
-        EXPECT_EQ(pooled.rebuild_cuts, serial.rebuild_cuts);
-        // ...and byte-identical solutions after every batch: same cliques,
-        // same order, same node order within each clique.
-        EXPECT_EQ(pooled.snapshots, serial.snapshots);
-        EXPECT_EQ(pooled.final_size, serial.final_size);
-      }
-    }
-  }
-  // The budgeted sweep must exercise both regimes — and the mid-rebuild
-  // abort path — or it proves nothing.
-  EXPECT_GE(budget_aborts, 10u) << "work budget never bit; lower it";
-  EXPECT_GE(budget_completions, 100u) << "work budget starves every update";
-  EXPECT_GE(budget_rebuild_cuts, 10u)
-      << "work budget never cut a rebuild mid-enumeration";
-}
-
-// ---------------------------------------------------------------------------
-// Batched ingestion sweep: the same streams pushed through ApplyBatch in
-// epochs of 1, 8, and 64. The epoch boundary runs the deduped rebuild
-// fan-out (the same pool plumbing as the per-update paths), so the
-// maintained solution and the per-epoch work/abort traces must be
-// byte-identical at every thread count — and an epoch of one update must
-// reproduce the unbatched engine exactly, snapshot for snapshot.
+// harness fuzzes, pushed through ApplyBatch in epochs of 1 (what
+// InsertEdge/DeleteEdge run), 8 and 64, serially and across 1/2/4-thread
+// pools, with and without a per-update work budget. The pool parallelizes
+// the epoch's deduped rebuild fan-out and the packing sort; the budget's
+// max_branch_nodes cap is deterministic by design. So at every thread
+// count the maintained solution must be byte-identical after every epoch,
+// and the per-epoch work/abort traces must match the serial run exactly.
 
 struct EpochTrace {
-  std::vector<uint8_t> aborted;    // per epoch
-  std::vector<uint64_t> work;      // per epoch
-  std::vector<uint64_t> dirty;     // per epoch (deduped rebuild slots)
+  std::vector<uint8_t> aborted;        // per epoch
+  std::vector<uint64_t> work;          // per epoch
+  std::vector<uint64_t> rebuild_cuts;  // per epoch (mid-DFS aborts)
+  std::vector<uint64_t> dirty;         // per epoch (deduped rebuild slots)
   std::vector<std::vector<std::vector<NodeId>>> snapshots;  // per epoch
-  uint64_t dirty_rebuilds = 0;     // lifetime deduped-rebuild total
+  uint64_t dirty_rebuilds = 0;         // lifetime deduped-rebuild total
   NodeId final_size = 0;
 };
 
@@ -317,6 +212,7 @@ EpochTrace RunEpochStream(const Graph& initial,
     EXPECT_TRUE(status.ok()) << status.ToString();
     trace.aborted.push_back(solver->last_batch_stats().aborted() ? 1 : 0);
     trace.work.push_back(solver->last_batch_stats().work);
+    trace.rebuild_cuts.push_back(solver->last_batch_stats().rebuild_cuts);
     trace.dirty.push_back(solver->last_batch_stats().dirty_slots);
     trace.snapshots.push_back(ToVectors(solver->Snapshot()));
   }
@@ -336,13 +232,18 @@ TEST(ThreadSweepTest, BatchedStreamsAreByteIdenticalAcrossThreadCounts) {
   constexpr int kStreams = 10;
   constexpr int kUpdatesPerStream = 220;
   constexpr size_t kEpochSizes[] = {1, 8, 64};
-  // Per-update cap; the epoch budget scales with the epoch's op count, so
-  // at epoch_size=1 this is exactly the unbatched budget.
+  // Per-update cap; the epoch budget scales with the epoch's op count.
+  // Small enough that modest swap cascades hit it at epoch_size=1, large
+  // enough that most updates complete — both regimes must be exercised.
   constexpr uint64_t kUpdateWorkBudget = 8;
   ThreadPool pool1(1), pool2(2), pool4(4);
   ThreadPool* pools[] = {&pool1, &pool2, &pool4};
 
   uint64_t dedup_savings = 0;  // epochs where dirty slots < epoch updates
+  // Budget regimes of the one-op epochs.
+  uint64_t budget_aborts = 0;
+  uint64_t budget_completions = 0;
+  uint64_t budget_rebuild_cuts = 0;
   for (int stream = 0; stream < kStreams; ++stream) {
     SCOPED_TRACE("stream=" + std::to_string(stream));
     Rng rng(7300 + static_cast<uint64_t>(stream) * 97);
@@ -354,21 +255,24 @@ TEST(ThreadSweepTest, BatchedStreamsAreByteIdenticalAcrossThreadCounts) {
 
     for (uint64_t budget : {uint64_t{0}, kUpdateWorkBudget}) {
       SCOPED_TRACE("budget=" + std::to_string(budget));
-      // The unbatched engine, snapshotted after every update, is the
-      // reference that epoch_size=1 must reproduce byte for byte.
-      const StreamTrace unbatched =
-          RunStream(initial, ops, k, nullptr, budget, /*batch=*/1);
       for (size_t epoch_size : kEpochSizes) {
         SCOPED_TRACE("epoch_size=" + std::to_string(epoch_size));
         const EpochTrace serial =
             RunEpochStream(initial, ops, k, nullptr, budget, epoch_size);
-        if (epoch_size == 1) {
-          ASSERT_EQ(serial.snapshots, unbatched.snapshots)
-              << "an epoch of one update diverged from the unbatched engine";
-          ASSERT_EQ(serial.work, unbatched.work);
-          ASSERT_EQ(serial.aborted, unbatched.aborted);
-          ASSERT_EQ(serial.final_size, unbatched.final_size);
-        } else {
+        if (budget == 0) {
+          for (size_t e = 0; e < serial.aborted.size(); ++e) {
+            ASSERT_EQ(serial.aborted[e], 0)
+                << "unlimited budget aborted an epoch";
+            ASSERT_EQ(serial.rebuild_cuts[e], 0u)
+                << "unlimited budget cut a rebuild";
+          }
+        } else if (epoch_size == 1) {
+          for (size_t e = 0; e < serial.aborted.size(); ++e) {
+            (serial.aborted[e] != 0 ? budget_aborts : budget_completions) += 1;
+            budget_rebuild_cuts += serial.rebuild_cuts[e];
+          }
+        }
+        if (epoch_size > 1) {
           for (size_t e = 0; e < serial.dirty.size(); ++e) {
             const size_t updates_in_epoch =
                 std::min(epoch_size, ops.size() - e * epoch_size);
@@ -379,9 +283,15 @@ TEST(ThreadSweepTest, BatchedStreamsAreByteIdenticalAcrossThreadCounts) {
           SCOPED_TRACE("threads=" + std::to_string(pool->num_threads()));
           const EpochTrace pooled =
               RunEpochStream(initial, ops, k, pool, budget, epoch_size);
+          // Identical abort outcomes, epoch by epoch — including where the
+          // budget cut a rebuild enumeration mid-DFS (the pooled fan-out
+          // replays the serial DFS's truncation point exactly)...
           EXPECT_EQ(pooled.aborted, serial.aborted);
           EXPECT_EQ(pooled.work, serial.work);
+          EXPECT_EQ(pooled.rebuild_cuts, serial.rebuild_cuts);
           EXPECT_EQ(pooled.dirty, serial.dirty);
+          // ...and byte-identical solutions after every epoch: same
+          // cliques, same order, same node order within each clique.
           EXPECT_EQ(pooled.snapshots, serial.snapshots);
           EXPECT_EQ(pooled.dirty_rebuilds, serial.dirty_rebuilds);
           EXPECT_EQ(pooled.final_size, serial.final_size);
@@ -390,8 +300,14 @@ TEST(ThreadSweepTest, BatchedStreamsAreByteIdenticalAcrossThreadCounts) {
     }
   }
   // The dedup must actually engage somewhere in the sweep, or the batched
-  // path degenerates into a loop over the serial one.
+  // path degenerates into a loop of one-op epochs.
   EXPECT_GE(dedup_savings, 50u) << "no epoch ever merged rebuild work";
+  // The budgeted one-op sweep must exercise both regimes — and the
+  // mid-rebuild abort path — or it proves nothing.
+  EXPECT_GE(budget_aborts, 10u) << "work budget never bit; lower it";
+  EXPECT_GE(budget_completions, 100u) << "work budget starves every update";
+  EXPECT_GE(budget_rebuild_cuts, 10u)
+      << "work budget never cut a rebuild mid-enumeration";
 }
 
 }  // namespace

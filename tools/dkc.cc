@@ -15,8 +15,9 @@
 //              [--batch=N] [--hot=H]
 //       dynamic maintenance over a synthetic mixed insert/delete stream,
 //       reporting per-update latency, swap activity, and budget aborts.
-//       --batch=N ingests through the epoch-batched path (N updates per
-//       ApplyBatch epoch, deduped rebuilds, updates/sec + dedup stats);
+//       --batch=N applies N updates per ApplyBatch epoch (deduped
+//       rebuilds, updates/sec + dedup stats); the default --batch=0 is one
+//       update per epoch, the same as --batch=1;
 //       --hot=H switches to a bursty stream concentrated on the H hottest
 //       nodes' neighborhoods — the workload where batching dedups most.
 //   dkc serve --snapshot=s.bin --wal=s.wal --file=edges.txt --k=3
@@ -302,33 +303,20 @@ int RunUpdate(const dkc::Flags& flags, const dkc::Graph& g) {
   dkc::Timer timer;
   uint64_t total_work = 0;
   uint64_t total_rebuild_cuts = 0;
-  if (batch >= 1) {
-    // Epoch-batched ingestion: chunks of --batch updates per ApplyBatch.
-    const size_t n = static_cast<size_t>(batch);
-    const std::span<const dkc::UpdateOp> all(ops);
-    for (size_t i = 0; i < all.size(); i += n) {
-      const dkc::Status status =
-          solver->ApplyBatch(all.subspan(i, std::min(n, all.size() - i)));
-      if (!status.ok()) {
-        std::fprintf(stderr, "batch at op %zu: %s\n", i,
-                     status.ToString().c_str());
-        return 1;
-      }
-      total_work += solver->last_batch_stats().work;
-      total_rebuild_cuts += solver->last_batch_stats().rebuild_cuts;
+  // Epoch-batched ingestion: chunks of --batch updates per ApplyBatch
+  // (--batch=0, the default, is one update per epoch, like --batch=1).
+  const size_t n = static_cast<size_t>(std::max(batch, 1L));
+  const std::span<const dkc::UpdateOp> all(ops);
+  for (size_t i = 0; i < all.size(); i += n) {
+    const dkc::Status status =
+        solver->ApplyBatch(all.subspan(i, std::min(n, all.size() - i)));
+    if (!status.ok()) {
+      std::fprintf(stderr, "batch at op %zu: %s\n", i,
+                   status.ToString().c_str());
+      return 1;
     }
-  } else {
-    for (const auto& op : ops) {
-      const dkc::Status status =
-          op.is_insert ? solver->InsertEdge(op.edge.first, op.edge.second)
-                       : solver->DeleteEdge(op.edge.first, op.edge.second);
-      if (!status.ok()) {
-        std::fprintf(stderr, "update: %s\n", status.ToString().c_str());
-        return 1;
-      }
-      total_work += solver->last_update_stats().work;
-      total_rebuild_cuts += solver->last_update_stats().rebuild_cuts;
-    }
+    total_work += solver->last_batch_stats().work;
+    total_rebuild_cuts += solver->last_batch_stats().rebuild_cuts;
   }
   const double total_ms = timer.ElapsedMillis();
   const auto& swaps = solver->lifetime_swap_stats();
@@ -342,19 +330,16 @@ int RunUpdate(const dkc::Flags& flags, const dkc::Graph& g) {
                                   (1e3 * total_ms),
               ops.empty() ? 0.0 : static_cast<double>(total_work) /
                                       static_cast<double>(ops.size()));
-  if (batch >= 1) {
-    // The dedup headline: each dirty slot is rebuilt once per epoch no
-    // matter how many updates touched it.
-    const uint64_t bu = solver->batched_updates_applied();
-    const uint64_t br = solver->batch_dirty_rebuilds();
-    std::printf("batched: %llu epochs (batch=%ld), %llu dirty-slot rebuilds "
-                "for %llu updates (%.2f rebuilds/update)\n",
-                static_cast<unsigned long long>(solver->batches_applied()),
-                batch, static_cast<unsigned long long>(br),
-                static_cast<unsigned long long>(bu),
-                bu == 0 ? 0.0
-                        : static_cast<double>(br) / static_cast<double>(bu));
-  }
+  // The dedup headline: each dirty slot is rebuilt once per epoch no
+  // matter how many updates touched it.
+  const uint64_t bu = solver->updates_applied();
+  const uint64_t br = solver->batch_dirty_rebuilds();
+  std::printf("batched: %llu epochs (batch=%zu), %llu dirty-slot rebuilds "
+              "for %llu updates (%.2f rebuilds/update)\n",
+              static_cast<unsigned long long>(solver->epoch()), n,
+              static_cast<unsigned long long>(br),
+              static_cast<unsigned long long>(bu),
+              bu == 0 ? 0.0 : static_cast<double>(br) / static_cast<double>(bu));
   std::printf("swaps: %llu pops, %llu commits, %llu cliques gained; "
               "%llu budget aborts (%llu mid-rebuild cuts)\n",
               static_cast<unsigned long long>(swaps.pops),
@@ -836,7 +821,7 @@ int RunServe(const dkc::Flags& flags, const dkc::Graph& g) {
   const long top = static_cast<long>(flags.GetInt("top", 0));
   if (top > 0) {
     // Re-publish so the view reflects the final state even after an
-    // unbatched ingest (Apply does not publish; ApplyBatch does).
+    // unbatched ingest (store Apply does not publish; ApplyBatch does).
     store->solver().PublishView();
     const auto view = store->solver().published_view();
     for (const auto& [score, gid] : view->TopK(static_cast<size_t>(top))) {

@@ -77,6 +77,7 @@ uint32_t SolutionState::AddSolutionClique(std::span<const NodeId> nodes) {
     node_cands_[u].clear();
   }
   ++solution_size_;
+  ++solution_version_;
   MaybeCompactNodeCands();
   return slot;
 }
@@ -89,6 +90,7 @@ void SolutionState::RemoveSolutionClique(uint32_t slot) {
   clique.nodes.clear();
   clique_free_slots_.push_back(slot);
   --solution_size_;
+  ++solution_version_;
   MaybeCompactNodeCands();
 }
 

@@ -59,6 +59,11 @@ class SolutionState {
   NodeId solution_size() const { return solution_size_; }
   Count num_alive_candidates() const { return alive_candidates_; }
   const std::vector<Count>& node_scores() const { return node_scores_; }
+  /// Bumped by every AddSolutionClique/RemoveSolutionClique — the only
+  /// mutators of S — so an unchanged version means an unchanged S
+  /// (slot numbering included). Not persisted: a restored state restarts
+  /// at 0.
+  uint64_t solution_version() const { return solution_version_; }
 
   bool SlotAlive(uint32_t slot) const {
     return slot < cliques_.size() && cliques_[slot].alive;
@@ -258,6 +263,7 @@ class SolutionState {
   std::vector<uint32_t> clique_free_slots_;
   std::vector<uint32_t> node_to_clique_;
   NodeId solution_size_ = 0;
+  uint64_t solution_version_ = 0;
 
   std::vector<Candidate> candidates_;
   std::vector<uint32_t> cand_free_slots_;

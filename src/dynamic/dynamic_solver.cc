@@ -396,7 +396,18 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
 }
 
 void DynamicSolver::PublishView() {
-  publisher_->Publish(BuildSolutionView(*state_, epoch_, updates_applied_));
+  // Reuse the current packing while its key holds (see solution_view.h).
+  const std::shared_ptr<const SolutionView> current = publisher_->Current();
+  std::shared_ptr<const SolutionPacking> packing;
+  if (current != nullptr &&
+      current->packing->solution_version == state_->solution_version() &&
+      current->node_to_group.size() == state_->graph().num_nodes()) {
+    packing = current->packing;
+  } else {
+    packing = BuildSolutionPacking(*state_);
+  }
+  publisher_->Publish(std::make_shared<const SolutionView>(
+      epoch_, updates_applied_, std::move(packing)));
 }
 
 }  // namespace dkc

@@ -152,7 +152,8 @@ class DynamicSolver {
   /// the dedup win on bursty streams, and batches finally big enough to
   /// feed parallel_rebuild_min_slots — followed by one swap loop. It does
   /// not publish: callers that serve readers call PublishView() at their
-  /// own boundaries (DurableStore::ApplyBatch does, once per epoch).
+  /// own boundaries (DurableStore's Apply and ApplyBatch do, once per
+  /// epoch).
   ///
   /// Determinism contract: batch boundaries are part of the stream. The
   /// epoch shares one UpdateWork meter whose deterministic cap scales to
@@ -191,7 +192,9 @@ class DynamicSolver {
   /// Publish the current state under the current epoch. Build/FromState
   /// publish epoch 0; after that the engine never publishes on its own —
   /// the caller serving readers decides when (DurableStore publishes after
-  /// every ApplyBatch epoch and once after recovery replay).
+  /// every acknowledged epoch and once after recovery replay). O(1) when
+  /// S and the node count are unchanged since the current view's packing
+  /// was built (the new view shares it), else O(n + |S|·k).
   void PublishView();
 
   NodeId solution_size() const { return state_->solution_size(); }

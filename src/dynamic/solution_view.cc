@@ -45,20 +45,27 @@ bool SolutionView::Consistent(std::string* error) const {
   return true;
 }
 
+std::shared_ptr<const SolutionPacking> BuildSolutionPacking(
+    const SolutionState& state) {
+  auto packing = std::make_shared<SolutionPacking>(state.k());
+  packing->solution_version = state.solution_version();
+  packing->solution = state.Snapshot();
+  packing->node_to_group.assign(state.graph().num_nodes(),
+                                SolutionView::kNoGroup);
+  packing->group_scores.reserve(packing->solution.size());
+  for (uint32_t g = 0; g < packing->solution.size(); ++g) {
+    const auto nodes = packing->solution.Get(g);
+    for (NodeId u : nodes) packing->node_to_group[u] = g;
+    packing->group_scores.push_back(
+        CliqueScoreOf(nodes, state.node_scores()));
+  }
+  return packing;
+}
+
 std::shared_ptr<const SolutionView> BuildSolutionView(
     const SolutionState& state, uint64_t epoch, uint64_t updates_applied) {
-  auto view = std::make_shared<SolutionView>(state.k());
-  view->epoch = epoch;
-  view->updates_applied = updates_applied;
-  view->solution = state.Snapshot();
-  view->node_to_group.assign(state.graph().num_nodes(), SolutionView::kNoGroup);
-  view->group_scores.reserve(view->solution.size());
-  for (uint32_t g = 0; g < view->solution.size(); ++g) {
-    const auto nodes = view->solution.Get(g);
-    for (NodeId u : nodes) view->node_to_group[u] = g;
-    view->group_scores.push_back(CliqueScoreOf(nodes, state.node_scores()));
-  }
-  return view;
+  return std::make_shared<const SolutionView>(epoch, updates_applied,
+                                              BuildSolutionPacking(state));
 }
 
 }  // namespace dkc

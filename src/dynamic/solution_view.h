@@ -1,12 +1,23 @@
 // Non-blocking read snapshots of the dynamic solution.
 //
-// The batched ingestion path publishes an immutable SolutionView at every
-// epoch boundary via an atomic shared_ptr swap (the classic double-buffer:
-// writers build the next view off to the side, readers keep whatever view
-// they grabbed alive for as long as they hold the pointer). Readers —
-// `dkc serve` queries, top-k scores — therefore never block on writers and
+// Every epoch boundary the caller chooses publishes an immutable
+// SolutionView via an atomic shared_ptr swap; readers keep whatever view
+// they grabbed alive for as long as they hold the pointer. Readers — `dkc
+// serve` queries, top-k scores — therefore never block on writers and
 // never observe a half-applied epoch: a view is always the exact solution
 // at some epoch boundary of the update stream.
+//
+// A view is two parts: a per-epoch header (epoch, updates applied) and a
+// shared, immutable SolutionPacking (S densely numbered, the group per
+// node, the score per group). Most epochs of a churn stream leave S
+// untouched, so DynamicSolver::PublishView hands the next view the
+// current view's packing whenever the packing's reuse key still holds:
+// the state's solution_version() (bumped by every add or removal of a
+// solution clique) and the node count (new node ids lengthen
+// node_to_group). Node scores are fixed per node — new nodes join with
+// score 0 — so the key determines the packing. Such a publish costs one
+// small allocation; a publish after S changed rebuilds the packing in
+// O(n + |S|·k).
 
 #ifndef DKC_DYNAMIC_SOLUTION_VIEW_H_
 #define DKC_DYNAMIC_SOLUTION_VIEW_H_
@@ -26,6 +37,27 @@ namespace dkc {
 
 class SolutionState;
 
+/// The readable packing at some epoch boundary; immutable once built and
+/// shared by every view published while its reuse key holds.
+struct SolutionPacking {
+  /// The solution, densely numbered 0..size()-1.
+  CliqueStore solution;
+  /// Group id per node (SolutionView::kNoGroup for free nodes); indexed
+  /// by NodeId, one entry per node of the graph it was built from.
+  std::vector<uint32_t> node_to_group;
+  /// Definition-6 clique score per group, aligned with `solution` ids.
+  std::vector<Count> group_scores;
+  /// SolutionState::solution_version() at build time (the reuse key,
+  /// together with node_to_group.size()).
+  uint64_t solution_version = 0;
+
+  explicit SolutionPacking(int k) : solution(k) {}
+};
+
+/// Materialize the current solution of `state` as a packing.
+std::shared_ptr<const SolutionPacking> BuildSolutionPacking(
+    const SolutionState& state);
+
 struct SolutionView {
   static constexpr uint32_t kNoGroup = UINT32_MAX;
 
@@ -35,14 +67,21 @@ struct SolutionView {
   /// Updates applied through that boundary.
   uint64_t updates_applied = 0;
 
-  /// The solution at the boundary, densely numbered 0..size()-1.
-  CliqueStore solution;
-  /// Group id per node (kNoGroup for free nodes); indexed by NodeId.
-  std::vector<uint32_t> node_to_group;
-  /// Definition-6 clique score per group, aligned with `solution` ids.
-  std::vector<Count> group_scores;
+  /// The packing, possibly shared with views of earlier epochs; the
+  /// references below point into it, so it is never reseated.
+  const std::shared_ptr<const SolutionPacking> packing;
+  const CliqueStore& solution;
+  const std::vector<uint32_t>& node_to_group;
+  const std::vector<Count>& group_scores;
 
-  explicit SolutionView(int k) : solution(k) {}
+  SolutionView(uint64_t at_epoch, uint64_t applied,
+               std::shared_ptr<const SolutionPacking> shared)
+      : epoch(at_epoch),
+        updates_applied(applied),
+        packing(std::move(shared)),
+        solution(packing->solution),
+        node_to_group(packing->node_to_group),
+        group_scores(packing->group_scores) {}
 
   /// The group containing `u`, or kNoGroup (out-of-range ids are free:
   /// the caller may hold a view older than the node's creation).
@@ -61,7 +100,8 @@ struct SolutionView {
   bool Consistent(std::string* error) const;
 };
 
-/// Materialize the current solution of `state` as an immutable view.
+/// A view of the current solution of `state` over a freshly built
+/// packing (never shared — DynamicSolver::PublishView does the reuse).
 std::shared_ptr<const SolutionView> BuildSolutionView(
     const SolutionState& state, uint64_t epoch, uint64_t updates_applied);
 

@@ -187,6 +187,7 @@ Status DurableStore::Apply(const UpdateOp& op) {
                                  applied.ToString()));
   }
   applied_seq_ = rec.seq;
+  solver_->PublishView();  // readers see every acknowledged epoch
 
   if (options_.checkpoint_every > 0 &&
       applied_seq_ - checkpoint_seq_ >= options_.checkpoint_every) {

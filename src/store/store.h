@@ -3,9 +3,8 @@
 //
 // Durability contract:
 //  * Apply = validate → WAL append (fsync) → in-memory engine apply (a
-//    one-op epoch). An acknowledged update is on disk before it is
-//    visible in memory. Apply does not publish a SolutionView; callers
-//    serving readers from Apply traffic call solver().PublishView().
+//    one-op epoch) → SolutionView publish. An acknowledged update is on
+//    disk before it is visible in memory.
 //  * ApplyBatch = validate the whole epoch → WAL *group commit* (members
 //    + commit marker, one buffered write, one fsync) → engine epoch
 //    apply → SolutionView publish. N updates, one fsync — the throughput
@@ -112,9 +111,9 @@ class DurableStore {
                                      const std::string& wal_path,
                                      const StoreOptions& options);
 
-  /// Log and apply one edge update (no view publish). InvalidArgument/
-  /// NotFound for updates the engine would reject (nothing is logged for
-  /// those).
+  /// Log and apply one edge update, then publish it as the solver's new
+  /// SolutionView. InvalidArgument/NotFound for updates the engine would
+  /// reject (nothing is logged for those).
   Status Apply(const UpdateOp& op);
 
   /// Log and apply one epoch of updates under group commit: the whole
@@ -148,7 +147,6 @@ class DurableStore {
   static StatusOr<DynamicSolver> LoadPointInTime(
       const std::string& snapshot_file, const DynamicOptions& dynamic);
 
-  DynamicSolver& solver() { return *solver_; }
   const DynamicSolver& solver() const { return *solver_; }
 
   /// Sequence number of the last applied update (0 = none yet).

@@ -251,9 +251,81 @@ TEST(BatchTest, EmptyBatchIsANoOp) {
   EXPECT_EQ(solver->published_view(), view_before);
 }
 
+// Every field of `view` equals a from-scratch build over `solver`'s state.
+void ExpectViewMatchesFreshBuild(const DynamicSolver& solver,
+                                 const SolutionView& view) {
+  const auto fresh = BuildSolutionView(solver.state(), solver.epoch(),
+                                       solver.updates_applied());
+  EXPECT_EQ(view.epoch, fresh->epoch);
+  EXPECT_EQ(view.updates_applied, fresh->updates_applied);
+  EXPECT_EQ(ToVectors(view.solution), ToVectors(fresh->solution));
+  EXPECT_EQ(view.node_to_group, fresh->node_to_group);
+  EXPECT_EQ(view.group_scores, fresh->group_scores);
+}
+
+TEST(BatchTest, SharedPublishMatchesFreshBuildEveryEpoch) {
+  // PublishView reuses the current packing while S and the node count are
+  // unchanged. After every epoch, at batch 1 (most epochs leave S alone)
+  // and batch 64 (most change it), the published view must still equal a
+  // from-scratch BuildSolutionView on every field, and it must share the
+  // previous packing exactly when the reuse key held. A new node id alone
+  // breaks the key too.
+  for (const size_t batch : {size_t{1}, size_t{64}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    Rng rng(505);
+    const Graph g = WattsStrogatz(300, 8, 0.1, rng).value();
+    DynamicOptions options;
+    options.k = 3;
+    auto solver = DynamicSolver::Build(g, options);
+    ASSERT_TRUE(solver.ok());
+    ExpectViewMatchesFreshBuild(*solver, *solver->published_view());
+    const auto ops = MakeChurnStream(g, 640, rng);
+    const std::span<const UpdateOp> all(ops);
+
+    size_t shared = 0;
+    size_t rebuilt = 0;
+    for (size_t i = 0; i < all.size(); i += batch) {
+      const auto before = solver->published_view();
+      const uint64_t version = solver->state().solution_version();
+      ASSERT_TRUE(
+          solver->ApplyBatch(all.subspan(i, std::min(batch, all.size() - i)))
+              .ok());
+      solver->PublishView();
+      const auto view = solver->published_view();
+      ExpectViewMatchesFreshBuild(*solver, *view);
+      const bool key_held =
+          solver->state().solution_version() == version &&
+          solver->graph().num_nodes() == before->node_to_group.size();
+      EXPECT_EQ(view->packing == before->packing, key_held);
+      ++(key_held ? shared : rebuilt);
+    }
+    // Both paths ran; at batch 1 the O(1) path is the common one.
+    EXPECT_GT(rebuilt, 0u);
+    if (batch == 1) {
+      EXPECT_GT(shared, rebuilt);
+    }
+
+    // An insert naming a brand-new node id cannot form a k-clique (the
+    // node has one neighbor), so S stays put — but node_to_group must
+    // grow, so the packing is rebuilt.
+    const auto before = solver->published_view();
+    const uint64_t version = solver->state().solution_version();
+    const NodeId fresh = solver->graph().num_nodes() + 5;
+    ASSERT_TRUE(solver->InsertEdge(0, fresh).ok());
+    solver->PublishView();
+    const auto view = solver->published_view();
+    EXPECT_EQ(solver->state().solution_version(), version);
+    EXPECT_NE(view->packing, before->packing);
+    EXPECT_EQ(view->node_to_group.size(), fresh + 1);
+    EXPECT_EQ(view->GroupOf(fresh), SolutionView::kNoGroup);
+    ExpectViewMatchesFreshBuild(*solver, *view);
+  }
+}
+
 TEST(BatchTest, PublishedViewSurvivesLaterEpochs) {
   // The non-blocking read contract: a reader holding an old view keeps a
-  // stable, consistent epoch snapshot while the writer publishes past it.
+  // stable, consistent epoch snapshot while the writer publishes past it —
+  // across a publish that shares the held packing and one that rebuilds.
   Rng rng(504);
   const Graph g = ErdosRenyi(60, 0.15, rng).value();
   DynamicOptions options;
@@ -267,20 +339,29 @@ TEST(BatchTest, PublishedViewSurvivesLaterEpochs) {
   solver->PublishView();
   const auto held = solver->published_view();
   const auto held_solution = ToVectors(held->solution);
+  const auto held_groups = held->node_to_group;
+  const auto held_scores = held->group_scores;
   const uint64_t held_epoch = held->epoch;
 
+  // A publish with S unchanged shares the held packing...
+  solver->PublishView();
+  EXPECT_EQ(solver->published_view()->packing, held->packing);
+  // ...and one after S and the node count moved rebuilds it.
   ASSERT_TRUE(solver->ApplyBatch(all.subspan(20, 20)).ok());
-  solver->PublishView();
   ASSERT_TRUE(solver->ApplyBatch(all.subspan(40, 20)).ok());
+  ASSERT_TRUE(solver->InsertEdge(0, g.num_nodes()).ok());
   solver->PublishView();
+  EXPECT_NE(solver->published_view()->packing, held->packing);
 
-  // The old view is untouched by the two later publishes.
+  // The old view is untouched by the later publishes.
   EXPECT_EQ(held->epoch, held_epoch);
   EXPECT_EQ(ToVectors(held->solution), held_solution);
+  EXPECT_EQ(held->node_to_group, held_groups);
+  EXPECT_EQ(held->group_scores, held_scores);
   std::string error;
   EXPECT_TRUE(held->Consistent(&error)) << error;
   // And the current view moved on.
-  EXPECT_EQ(solver->published_view()->epoch, held_epoch + 2);
+  EXPECT_EQ(solver->published_view()->epoch, held_epoch + 3);
 
   // TopK is ordered by descending score, ties to the lower group id.
   const auto top = solver->published_view()->TopK(5);

@@ -509,11 +509,12 @@ StoreOptions MakeStoreOptions(uint64_t checkpoint_every = 0) {
 }
 
 /// Readers of `solver` see its current state: the published view carries
-/// the engine's epoch and exactly its solution.
+/// the engine's epoch and update count and exactly its solution.
 void ExpectViewMatchesEngine(const DynamicSolver& solver) {
   const auto view = solver.published_view();
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->epoch, solver.epoch());
+  EXPECT_EQ(view->updates_applied, solver.updates_applied());
   EXPECT_EQ(SolutionToString(view->solution),
             SolutionToString(solver.Snapshot()));
 }
@@ -536,6 +537,7 @@ TEST(StoreTest, CreateApplyReopenIsByteIdentical) {
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (size_t i = 0; i < 30; ++i) {
       ASSERT_TRUE(store->Apply(world.ops[i]).ok()) << "op " << i;
+      ExpectViewMatchesEngine(store->solver());  // Apply publishes too
     }
     EXPECT_EQ(store->applied_seq(), 30u);
   }
@@ -550,8 +552,10 @@ TEST(StoreTest, CreateApplyReopenIsByteIdentical) {
   EXPECT_EQ(EngineFingerprint(reopened->solver()),
             EngineFingerprint(ReferenceRun(world, 30)));
 
+  ExpectViewMatchesEngine(reopened->solver());
   for (size_t i = 30; i < world.ops.size(); ++i) {
     ASSERT_TRUE(reopened->Apply(world.ops[i]).ok()) << "op " << i;
+    ExpectViewMatchesEngine(reopened->solver());
   }
   DynamicSolver reference = ReferenceRun(world, world.ops.size());
   EXPECT_EQ(EngineFingerprint(reopened->solver()),

@@ -820,9 +820,6 @@ int RunServe(const dkc::Flags& flags, const dkc::Graph& g) {
 
   const long top = static_cast<long>(flags.GetInt("top", 0));
   if (top > 0) {
-    // Re-publish so the view reflects the final state even after an
-    // unbatched ingest (store Apply does not publish; ApplyBatch does).
-    store->solver().PublishView();
     const auto view = store->solver().published_view();
     for (const auto& [score, gid] : view->TopK(static_cast<size_t>(top))) {
       std::string nodes;

@@ -33,6 +33,13 @@ class CliqueStore {
     return static_cast<CliqueId>(size() - 1);
   }
 
+  /// Append cliques [begin, end) of `src` (same k) in one bulk copy.
+  void AddRange(const CliqueStore& src, CliqueId begin, CliqueId end) {
+    const size_t k = static_cast<size_t>(k_);
+    nodes_.insert(nodes_.end(), src.nodes_.begin() + begin * k,
+                  src.nodes_.begin() + end * k);
+  }
+
   std::span<const NodeId> Get(CliqueId id) const {
     return {nodes_.data() + static_cast<size_t>(id) * k_,
             static_cast<size_t>(k_)};

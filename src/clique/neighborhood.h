@@ -100,19 +100,10 @@ namespace dkc {
 /// refused the same way, so no clique is emitted past the cut — the
 /// traversal is truncated at a branch boundary whose position depends only
 /// on the universe and the budget, never on scheduling or the clock.
-///
-/// `emit_used`, when non-null, records the `used` value at each emitted
-/// clique. An *unbudgeted* run (cap == 0) recording emit_used lets a
-/// caller replay a budget afterwards: the budgeted run would have emitted
-/// exactly the cliques whose recorded value is <= the budget's headroom,
-/// charged min(total used, headroom), and cut iff total used exceeds it —
-/// how the dynamic engine's pooled rebuild fan-out stays byte-identical to
-/// its serial path.
 struct EnumBudget {
   uint64_t used = 0;
   uint64_t cap = 0;  // 0 = unlimited
   bool cut = false;
-  std::vector<uint64_t>* emit_used = nullptr;
 };
 
 /// Flat scratch buffers shared by every per-root build of one worker.
@@ -298,9 +289,6 @@ class NeighborhoodKernel {
     bool LeafCount(Count) { return !budget->cut; }
     bool LeafId(NodeId i) {
       if (budget->cut) return false;
-      if (budget->emit_used != nullptr) {
-        budget->emit_used->push_back(budget->used);
-      }
       emit->push_back(local_nodes[i]);
       const bool keep_going = (*callback)(std::span<const NodeId>(*emit));
       emit->pop_back();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <mutex>
 
 #include "clique/kclique.h"
 #include "core/clique_score.h"
@@ -55,6 +54,7 @@ uint32_t SolutionState::AddSolutionClique(std::span<const NodeId> nodes) {
     slot = static_cast<uint32_t>(cliques_.size());
     cliques_.emplace_back();
   }
+  LogSolutionChange(slot);
   SolClique& clique = cliques_[slot];
   clique.nodes.assign(nodes.begin(), nodes.end());
   clique.cands.clear();
@@ -84,6 +84,7 @@ uint32_t SolutionState::AddSolutionClique(std::span<const NodeId> nodes) {
 
 void SolutionState::RemoveSolutionClique(uint32_t slot) {
   KillOwnedCandidates(slot);
+  LogSolutionChange(slot);
   SolClique& clique = cliques_[slot];
   for (NodeId u : clique.nodes) node_to_clique_[u] = kNoClique;
   clique.alive = false;
@@ -92,6 +93,22 @@ void SolutionState::RemoveSolutionClique(uint32_t slot) {
   --solution_size_;
   ++solution_version_;
   MaybeCompactNodeCands();
+}
+
+void SolutionState::LogSolutionChange(uint32_t slot) {
+  if (!solution_log_intact_) return;
+  if (solution_log_.size() >= cliques_.size()) {
+    solution_log_intact_ = false;
+    solution_log_.clear();
+    return;
+  }
+  solution_log_.push_back(slot);
+}
+
+void SolutionState::ResetSolutionLog() {
+  solution_log_.clear();
+  solution_log_base_ = solution_version_;
+  solution_log_intact_ = true;
 }
 
 void SolutionState::KillCandidate(uint32_t idx) {
@@ -162,15 +179,6 @@ void SolutionState::EnumerateCandidatesFor(
 
   ForEachKCliqueInSubset(
       graph_, b, k_, [&](std::span<const NodeId> nodes) {
-        // Recording mode tracks *candidates*, not raw cliques: drop the
-        // charge point of a clique rejected below so emit_used stays
-        // parallel to `out`.
-        auto reject = [&] {
-          if (budget != nullptr && budget->emit_used != nullptr) {
-            budget->emit_used->pop_back();
-          }
-          return true;
-        };
         int in_c = 0;
         int free_nodes = 0;
         for (NodeId u : nodes) {
@@ -179,12 +187,12 @@ void SolutionState::EnumerateCandidatesFor(
           } else if (node_to_clique_[u] == kNoClique) {
             ++free_nodes;
           } else {
-            return reject();  // touches another solution clique
+            return true;  // touches another solution clique
           }
         }
         // in_c == k would be C itself; free == k would contradict the
         // maximality the engine maintains, but guard anyway.
-        if (in_c < 1 || free_nodes < 1) return reject();
+        if (in_c < 1 || free_nodes < 1) return true;
         out->emplace_back(nodes.begin(), nodes.end());
         return true;
       },
@@ -233,86 +241,42 @@ size_t SolutionState::RebuildCandidatesFor(uint32_t slot, UpdateWork* meter) {
 }
 
 void SolutionState::RebuildCandidatesForMany(std::span<const uint32_t> slots,
-                                             ThreadPool* pool,
                                              std::vector<size_t>* counts,
                                              UpdateWork* meter) {
   if (counts != nullptr) counts->assign(slots.size(), 0);
-  // The fan-out gate (see set_parallel_rebuild_min_slots) changes only
-  // scheduling, never results: both paths are byte-identical, including
-  // budgeted outcomes.
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      slots.size() < parallel_rebuild_min_slots_) {
-    for (size_t i = 0; i < slots.size(); ++i) {
-      const size_t n = RebuildCandidatesFor(slots[i], meter);
-      if (counts != nullptr) (*counts)[i] = n;
-    }
-    return;
-  }
-  // Enumeration reads only the graph and the free/non-free map — never the
-  // candidate slots — so fanning it out (worker-private kernels, shared
-  // cursor) and registering serially afterwards in `slots` order yields
-  // exactly the serial loop's candidates in exactly its registration
-  // order. The shared subset_kernel_ is only for the serial path.
-  //
-  // Under a meter the workers enumerate speculatively (unbudgeted, with
-  // per-candidate charge points recorded) and the serial registration loop
-  // replays the charges: a budgeted serial DFS would have emitted exactly
-  // the candidates whose charge point fits the remaining headroom, charged
-  // min(total, headroom) branch units, and cut iff the total exceeds it —
-  // so work, cuts, and the registered set match the serial path exactly,
-  // at any thread count (overshoot enumeration work is wasted, never
-  // observable).
-  std::vector<std::vector<std::vector<NodeId>>> found(slots.size());
-  std::vector<std::vector<uint64_t>> charge_points(slots.size());
-  std::vector<uint64_t> total_used(slots.size(), 0);
-  std::atomic<size_t> cursor{0};
-  const bool metered = meter != nullptr;
-  pool->RunPerWorker([&](size_t) {
-    NeighborhoodKernel kernel;
-    for (;;) {
-      const size_t i = cursor.fetch_add(1);
-      if (i >= slots.size()) break;
-      if (metered) {
-        EnumBudget recorder;  // unlimited; counts branches per slot
-        recorder.emit_used = &charge_points[i];
-        EnumerateCandidatesFor(slots[i], &found[i], &kernel, &recorder);
-        total_used[i] = recorder.used;
-      } else {
-        EnumerateCandidatesFor(slots[i], &found[i], &kernel);
-      }
-    }
-  });
   for (size_t i = 0; i < slots.size(); ++i) {
-    const uint32_t slot = slots[i];
-    KillOwnedCandidates(slot);
-    size_t registered = 0;
-    if (metered) {
-      meter->Charge(1);  // the rebuild unit, as in the serial path
-      const uint64_t headroom =
-          meter->max_work == 0
-              ? UINT64_MAX
-              : (meter->max_work > meter->work ? meter->max_work - meter->work
-                                               : 0);
-      for (size_t c = 0; c < found[i].size(); ++c) {
-        if (charge_points[i][c] > headroom) break;  // charge points ascend
-        RegisterCandidate(found[i][c], slot);
-        ++registered;
-      }
-      meter->work += std::min(total_used[i], headroom);
-      if (total_used[i] > headroom) ++meter->rebuild_cuts;
-    } else {
-      for (const auto& nodes : found[i]) RegisterCandidate(nodes, slot);
-      registered = found[i].size();
-    }
-    if (counts != nullptr) (*counts)[i] = registered;
+    const size_t n = RebuildCandidatesFor(slots[i], meter);
+    if (counts != nullptr) (*counts)[i] = n;
   }
-  MaybeCompactNodeCands();
 }
 
 void SolutionState::RebuildAllCandidates(ThreadPool* pool) {
   std::vector<uint32_t> slots;
   ForEachSlot([&slots](uint32_t s) { slots.push_back(s); });
-  RebuildCandidatesForMany(slots, pool, nullptr);
+  if (pool == nullptr || pool->num_threads() <= 1) {
+    RebuildCandidatesForMany(slots, nullptr);
+    return;
+  }
+  // Enumeration reads only the graph and the free/non-free map — never the
+  // candidate slots — so fanning it out (worker-private kernels, shared
+  // cursor) and registering serially afterwards in slot order yields
+  // exactly the serial loop's candidates in exactly its registration
+  // order. The shared subset_kernel_ is only for the serial path.
+  std::vector<std::vector<std::vector<NodeId>>> found(slots.size());
+  std::atomic<size_t> cursor{0};
+  pool->RunPerWorker([&](size_t) {
+    NeighborhoodKernel kernel;
+    for (;;) {
+      const size_t i = cursor.fetch_add(1);
+      if (i >= slots.size()) break;
+      EnumerateCandidatesFor(slots[i], &found[i], &kernel);
+    }
+  });
+  for (size_t i = 0; i < slots.size(); ++i) {
+    KillOwnedCandidates(slots[i]);
+    for (const auto& nodes : found[i]) RegisterCandidate(nodes, slots[i]);
+  }
+  MaybeCompactNodeCands();
 }
 
 size_t SolutionState::KillCandidatesWithEdge(NodeId u, NodeId v) {

@@ -65,6 +65,17 @@ class SolutionState {
   /// at 0.
   uint64_t solution_version() const { return solution_version_; }
 
+  /// The change log behind DynamicSolver::PublishView's patch: every slot
+  /// passed to AddSolutionClique/RemoveSolutionClique since the last
+  /// ResetSolutionLog (at solution_log_base()), in call order. Usable only
+  /// while solution_log_intact(): it is dropped once it would outgrow the
+  /// slot table, and a restored state has none (it is not persisted).
+  std::span<const uint32_t> solution_log() const { return solution_log_; }
+  bool solution_log_intact() const { return solution_log_intact_; }
+  uint64_t solution_log_base() const { return solution_log_base_; }
+  /// Start an empty, intact log at the current solution_version().
+  void ResetSolutionLog();
+
   bool SlotAlive(uint32_t slot) const {
     return slot < cliques_.size() && cliques_[slot].alive;
   }
@@ -106,36 +117,18 @@ class SolutionState {
   /// bounding a single huge neighborhood rebuild (see update_work.h).
   size_t RebuildCandidatesFor(uint32_t slot, UpdateWork* meter = nullptr);
 
-  /// Rebuild several slots (each alive, no duplicates), optionally fanning
-  /// the read-only enumeration across `pool` with worker-private kernels;
-  /// registration stays serial in `slots` order, so candidates, their
-  /// registration order, and hence every downstream tie-break are
-  /// byte-identical to calling RebuildCandidatesFor per slot. Fills
-  /// `counts` (when non-null) with the per-slot candidate counts. The
-  /// pooled fan-out enumerates speculatively without the meter and then
-  /// replays the charges serially in `slots` order (truncating exactly
-  /// where the serial DFS would have cut), so budgeted outcomes — work,
-  /// cuts, registered candidates — are byte-identical at any thread count.
+  /// RebuildCandidatesFor on each of `slots` (each alive, no duplicates)
+  /// in order, all charging `meter`. Fills `counts` (when non-null) with
+  /// the per-slot candidate counts.
   void RebuildCandidatesForMany(std::span<const uint32_t> slots,
-                                ThreadPool* pool, std::vector<size_t>* counts,
+                                std::vector<size_t>* counts,
                                 UpdateWork* meter = nullptr);
 
-  /// Algorithm 5 for the whole solution, optionally in parallel (never
-  /// budgeted: the initial index build must be complete).
+  /// Algorithm 5 for the whole solution (never budgeted: the initial index
+  /// build must be complete). With `pool`, enumeration fans out across
+  /// workers and registration stays serial in slot order, so the index is
+  /// byte-identical to the serial build.
   void RebuildAllCandidates(ThreadPool* pool = nullptr);
-
-  /// Minimum batch size before RebuildCandidatesForMany fans out across a
-  /// pool (default 8): each fan-out pays one Submit/Wait round trip plus a
-  /// worker-private kernel per thread, which swamps the microsecond-scale
-  /// enumerations of the 2-3-slot batches typical per update. Scheduling
-  /// only — results are byte-identical either way (DynamicOptions plumbs
-  /// this through as parallel_rebuild_min_slots).
-  void set_parallel_rebuild_min_slots(size_t min_slots) {
-    parallel_rebuild_min_slots_ = min_slots;
-  }
-  size_t parallel_rebuild_min_slots() const {
-    return parallel_rebuild_min_slots_;
-  }
 
   /// Kill every candidate whose clique uses edge (u, v) — edge-deletion
   /// maintenance. Returns how many died.
@@ -189,8 +182,6 @@ class SolutionState {
   /// cross-validates the derived counters, and runs CheckInvariants;
   /// returns Corruption on any mismatch (the caller has already verified
   /// checksums, so a failure here means a logic bug or a forged file).
-  /// The restored state uses default options (parallel_rebuild_min_slots);
-  /// callers re-apply their configuration.
   static StatusOr<std::unique_ptr<SolutionState>> Deserialize(
       std::string_view graph_bytes, std::string_view state_bytes);
 
@@ -232,6 +223,9 @@ class SolutionState {
   // shared first half of a rebuild (serial and pooled paths must stay
   // identical, so there is exactly one implementation).
   void KillOwnedCandidates(uint32_t slot);
+  // Appends `slot` to the change log, or drops the log once it would
+  // outgrow the slot table (see solution_log()).
+  void LogSolutionChange(uint32_t slot);
   uint32_t RegisterCandidate(std::span<const NodeId> nodes, uint32_t owner);
   // Drops dead refs from every per-node list once they outnumber
   // 2 * alive refs + n + 64 — each compaction removes more entries than it
@@ -243,8 +237,7 @@ class SolutionState {
   // index, driving the subset DFS through `kernel` (callers on the serial
   // per-update path pass `&subset_kernel_`; the parallel whole-solution
   // rebuild passes worker-private kernels). `budget`, when non-null,
-  // charges/truncates the DFS (or records per-emission charge points for
-  // the pooled replay — see EnumBudget).
+  // charges/truncates the DFS (see EnumBudget).
   void EnumerateCandidatesFor(uint32_t slot,
                               std::vector<std::vector<NodeId>>* out,
                               NeighborhoodKernel* kernel,
@@ -264,13 +257,15 @@ class SolutionState {
   std::vector<uint32_t> node_to_clique_;
   NodeId solution_size_ = 0;
   uint64_t solution_version_ = 0;
+  std::vector<uint32_t> solution_log_;
+  uint64_t solution_log_base_ = 0;
+  bool solution_log_intact_ = true;
 
   std::vector<Candidate> candidates_;
   std::vector<uint32_t> cand_free_slots_;
   std::vector<std::vector<CandRef>> node_cands_;
   size_t node_cand_refs_ = 0;  // total entries across node_cands_ lists
   Count alive_candidates_ = 0;
-  size_t parallel_rebuild_min_slots_ = 8;
 };
 
 }  // namespace dkc

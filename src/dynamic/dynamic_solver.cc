@@ -33,7 +33,6 @@ std::pair<std::unique_ptr<SolutionState>, double> SeedState(
   }
   auto state = std::make_unique<SolutionState>(DynamicGraph(g), options.k,
                                                std::move(node_scores));
-  state->set_parallel_rebuild_min_slots(options.parallel_rebuild_min_slots);
   for (CliqueId c = 0; c < solution.size(); ++c) {
     state->AddSolutionClique(solution.Get(c));
   }
@@ -87,8 +86,6 @@ StatusOr<DynamicSolver> DynamicSolver::FromState(
   if (state->k() != options.k) {
     return Status::InvalidArgument("state k does not match options.k");
   }
-  // Scheduling configuration is not persisted; re-apply the caller's.
-  state->set_parallel_rebuild_min_slots(options.parallel_rebuild_min_slots);
   return DynamicSolver(std::move(state), DynamicBuildStats{}, options);
 }
 
@@ -348,7 +345,7 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
           state_->RebuildCandidatesFor(cu, &meter);
         }
         dirty.Deactivate(cu);
-        const auto replacement = PackDisjointCandidates(*state_, cu, pool_);
+        const auto replacement = PackDisjointCandidates(*state_, cu);
         for (const uint32_t slot :
              StageReplacement(state_.get(), cu, replacement)) {
           ustat.slots_marked += dirty.MarkWantAny(slot) ? 1 : 0;
@@ -359,12 +356,12 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
     last_batch_.per_update.push_back(ustat);
   }
 
-  // --- boundary: one deduped rebuild fan-out, one swap loop ------------
+  // --- boundary: one deduped rebuild pass, one swap loop --------------
   std::vector<uint32_t>& slots = dirty_slots_;
   slots.clear();
   dirty.CollectActive(&slots);
   std::vector<size_t>& counts = rebuild_counts_;
-  state_->RebuildCandidatesForMany(slots, pool_, &counts, &meter);
+  state_->RebuildCandidatesForMany(slots, &counts, &meter);
 
   SwapQueue& queue = swap_queue_;  // TrySwapLoop always drains it
   for (size_t i = 0; i < slots.size(); ++i) {
@@ -379,7 +376,7 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
                     });
     if (enqueue) queue.push_back(state_->RefOf(slots[i]));
   }
-  const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter, pool_);
+  const SwapStats swaps = TrySwapLoop(state_.get(), &queue, &meter);
 
   // --- finalize: stats and lifetime counters ---------------------------
   last_batch_.updates = ops.size();
@@ -396,16 +393,26 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
 }
 
 void DynamicSolver::PublishView() {
-  // Reuse the current packing while its key holds (see solution_view.h).
+  // Share, patch or build the packing (see solution_view.h).
   const std::shared_ptr<const SolutionView> current = publisher_->Current();
   std::shared_ptr<const SolutionPacking> packing;
   if (current != nullptr &&
       current->packing->solution_version == state_->solution_version() &&
       current->node_to_group.size() == state_->graph().num_nodes()) {
     packing = current->packing;
+  } else if (current != nullptr && state_->solution_log_intact() &&
+             state_->solution_log_base() ==
+                 current->packing->solution_version) {
+    const auto log = state_->solution_log();
+    std::vector<uint32_t>& touched = touched_slots_;
+    touched.assign(log.begin(), log.end());
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    packing = PatchSolutionPacking(*current->packing, *state_, touched);
   } else {
     packing = BuildSolutionPacking(*state_);
   }
+  state_->ResetSolutionLog();
   publisher_->Publish(std::make_shared<const SolutionView>(
       epoch_, updates_applied_, std::move(packing)));
 }

@@ -46,16 +46,10 @@ struct DynamicOptions {
   /// through last_batch_stats(). With a pure work cap the abort outcome
   /// is byte-identical at every thread count. Zero fields = unlimited.
   Budget update_budget;
-  /// Worker pool for the initial solve + index build *and* the per-update
-  /// parallel paths (the epoch's candidate-rebuild fan-out and swap
-  /// commits, packing's candidate sort). Solutions and abort outcomes are
-  /// byte-identical at any thread count.
+  /// Worker pool for Build only (initial solve + index build). ApplyBatch
+  /// maintains serially: a pooled fan-out over a batch-64 epoch's ≈50
+  /// microsecond-scale rebuilds measured slower than the serial loop.
   ThreadPool* pool = nullptr;
-  /// Minimum rebuild batch size before the per-update candidate-rebuild
-  /// fan-out engages the pool (scheduling only; results identical). The
-  /// 2-3-slot rebuilds typical of a one-op epoch lose to the Submit/Wait
-  /// round trip, hence the high default; tune on multi-core hosts.
-  size_t parallel_rebuild_min_slots = 8;
 };
 
 struct DynamicBuildStats {
@@ -89,7 +83,7 @@ struct BatchStats {
   size_t updates = 0;
   size_t inserts = 0;
   size_t deletes = 0;
-  /// Deduped boundary rebuild fan-out: dirty slots rebuilt once each,
+  /// Deduped boundary rebuilds: dirty slots rebuilt once each,
   /// however many updates in the epoch touched them. dirty_slots <
   /// slots-marked-summed-over-updates is the measurable dedup win on
   /// bursty neighborhoods.
@@ -148,9 +142,8 @@ class DynamicSolver {
   /// mutation, candidate kills through deleted edges, broken-clique
   /// repair, direct adds of brand-new all-free cliques), while candidate
   /// rebuilds are only *marked*; at the epoch boundary each dirty slot is
-  /// rebuilt exactly once via a single RebuildCandidatesForMany fan-out —
-  /// the dedup win on bursty streams, and batches finally big enough to
-  /// feed parallel_rebuild_min_slots — followed by one swap loop. It does
+  /// rebuilt exactly once — the dedup win on bursty streams — followed by
+  /// one swap loop. All of it runs serially on the calling thread. It does
   /// not publish: callers that serve readers call PublishView() at their
   /// own boundaries (DurableStore's Apply and ApplyBatch do, once per
   /// epoch).
@@ -194,7 +187,8 @@ class DynamicSolver {
   /// the caller serving readers decides when (DurableStore publishes after
   /// every acknowledged epoch and once after recovery replay). O(1) when
   /// S and the node count are unchanged since the current view's packing
-  /// was built (the new view shares it), else O(n + |S|·k).
+  /// was built (the new view shares it); after S changed, it patches that
+  /// packing in O(delta) plus one bulk copy (see solution_view.h).
   void PublishView();
 
   NodeId solution_size() const { return state_->solution_size(); }
@@ -233,7 +227,6 @@ class DynamicSolver {
       : state_(std::move(state)),
         build_stats_(stats),
         update_budget_(options.update_budget),
-        pool_(options.pool),
         publisher_(std::make_unique<SolutionPublisher>()) {
     PublishView();  // readers always have a view, epoch 0 = the build
   }
@@ -251,7 +244,6 @@ class DynamicSolver {
   std::unique_ptr<SolutionState> state_;  // stable address for internals
   DynamicBuildStats build_stats_;
   Budget update_budget_;
-  ThreadPool* pool_ = nullptr;
   // unique_ptr keeps the publisher's address stable across solver moves —
   // readers hold the publisher, not the solver.
   std::unique_ptr<SolutionPublisher> publisher_;
@@ -259,11 +251,13 @@ class DynamicSolver {
   BatchStats last_batch_;
   // Epoch scratch kept across calls so a one-op epoch does not allocate
   // it afresh: the dirty set (cleared over the slots it touched), the
-  // boundary's slot list and rebuild counts, and the swap queue.
+  // boundary's slot list and rebuild counts, the swap queue, and the
+  // publish's sorted change log.
   DirtySet dirty_;
   std::vector<uint32_t> dirty_slots_;
   std::vector<size_t> rebuild_counts_;
   SwapQueue swap_queue_;
+  std::vector<uint32_t> touched_slots_;
   uint64_t aborted_updates_ = 0;
   uint64_t updates_applied_ = 0;
   uint64_t epoch_ = 0;

@@ -8,16 +8,19 @@
 // at some epoch boundary of the update stream.
 //
 // A view is two parts: a per-epoch header (epoch, updates applied) and a
-// shared, immutable SolutionPacking (S densely numbered, the group per
-// node, the score per group). Most epochs of a churn stream leave S
-// untouched, so DynamicSolver::PublishView hands the next view the
-// current view's packing whenever the packing's reuse key still holds:
-// the state's solution_version() (bumped by every add or removal of a
-// solution clique) and the node count (new node ids lengthen
-// node_to_group). Node scores are fixed per node — new nodes join with
-// score 0 — so the key determines the packing. Such a publish costs one
-// small allocation; a publish after S changed rebuilds the packing in
-// O(n + |S|·k).
+// shared, immutable SolutionPacking (S densely numbered in engine-slot
+// order, the group per node, the score per group). DynamicSolver::
+// PublishView gets each packing one of three ways:
+//  * share, O(1): most churn epochs leave S untouched, so the next view
+//    takes the current packing while its reuse key holds — the state's
+//    solution_version() (bumped by every add or removal of a solution
+//    clique) and the node count. Node scores are fixed per node (new
+//    nodes join with score 0), so the key determines the packing.
+//  * patch, O(delta) plus one bulk copy: S changed and the state's change
+//    log of touched slots is intact (PatchSolutionPacking).
+//  * build, O(n + |S|·k): no usable previous packing (a solver's first
+//    publish, an overflowed log) — the same patch from an empty packing
+//    with every live slot touched.
 
 #ifndef DKC_DYNAMIC_SOLUTION_VIEW_H_
 #define DKC_DYNAMIC_SOLUTION_VIEW_H_
@@ -47,6 +50,9 @@ struct SolutionPacking {
   std::vector<uint32_t> node_to_group;
   /// Definition-6 clique score per group, aligned with `solution` ids.
   std::vector<Count> group_scores;
+  /// Engine slot of each group, ascending: groups follow slot order, as
+  /// SolutionState::Snapshot() does. The patch merges against it.
+  std::vector<uint32_t> group_slot;
   /// SolutionState::solution_version() at build time (the reuse key,
   /// together with node_to_group.size()).
   uint64_t solution_version = 0;
@@ -54,7 +60,18 @@ struct SolutionPacking {
   explicit SolutionPacking(int k) : solution(k) {}
 };
 
-/// Materialize the current solution of `state` as a packing.
+/// The packing of `state`, made from `prev` — a packing of the same state
+/// at an earlier solution_version() — and `touched`: the sorted, unique
+/// slots added to or removed from S since then (a superset is fine). Runs
+/// of untouched groups are bulk-copied, only touched live slots are read
+/// and scored, and node_to_group is copied from `prev` and rewritten only
+/// from the first group whose id shifted.
+std::shared_ptr<const SolutionPacking> PatchSolutionPacking(
+    const SolutionPacking& prev, const SolutionState& state,
+    std::span<const uint32_t> touched);
+
+/// Materialize the current solution of `state` as a packing: the patch
+/// from an empty packing with every live slot touched.
 std::shared_ptr<const SolutionPacking> BuildSolutionPacking(
     const SolutionState& state);
 
@@ -101,7 +118,8 @@ struct SolutionView {
 };
 
 /// A view of the current solution of `state` over a freshly built
-/// packing (never shared — DynamicSolver::PublishView does the reuse).
+/// packing (never shared or patched — DynamicSolver::PublishView does
+/// both).
 std::shared_ptr<const SolutionView> BuildSolutionView(
     const SolutionState& state, uint64_t epoch, uint64_t updates_applied);
 

@@ -263,6 +263,9 @@ StatusOr<std::unique_ptr<SolutionState>> SolutionState::Deserialize(
   state->solution_size_ = static_cast<NodeId>(solution_size);
   state->alive_candidates_ = alive_cands;
   state->node_cand_refs_ = static_cast<size_t>(node_refs);
+  // The change log is not persisted: no earlier packing can be patched
+  // into this state, so its first publish is a full build.
+  state->solution_log_intact_ = false;
 
   // Deep structural validation: cliques are cliques of the restored graph,
   // candidates satisfy the Section V-A characterization, counters agree.

@@ -1,67 +1,18 @@
 #include "dynamic/swap.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace dkc {
-namespace {
-
-// Fixed chunk geometry for the parallel candidate sort. The boundaries must
-// not depend on the pool size: byte-identity across thread counts comes for
-// free when every configuration sorts the same chunks under the same total
-// order.
-constexpr size_t kParallelSortMin = 64;
-constexpr size_t kSortChunk = 32;
-
-// Ascending (score, registration index) — a *total* order, so any sorting
-// schedule produces the exact permutation the serial stable_sort (score
-// only, stable on registration order) produces.
-void SortCandidatesByScore(std::vector<SolutionState::CandidateView>* cands,
-                           ThreadPool* pool) {
-  auto& c = *cands;
-  const size_t n = c.size();
-  if (pool == nullptr || pool->num_threads() <= 1 || n < kParallelSortMin) {
-    std::stable_sort(c.begin(), c.end(),
-                     [](const SolutionState::CandidateView& a,
-                        const SolutionState::CandidateView& b) {
-                       return a.score < b.score;
-                     });
-    return;
-  }
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  const auto less = [&c](uint32_t a, uint32_t b) {
-    return c[a].score != c[b].score ? c[a].score < c[b].score : a < b;
-  };
-  const size_t chunks = (n + kSortChunk - 1) / kSortChunk;
-  pool->ParallelFor(chunks, [&](size_t i) {
-    const auto begin = order.begin() + static_cast<ptrdiff_t>(i * kSortChunk);
-    const auto end =
-        order.begin() + static_cast<ptrdiff_t>(std::min(n, (i + 1) * kSortChunk));
-    std::sort(begin, end, less);
-  });
-  // Serial bottom-up merge over the fixed chunk boundaries.
-  for (size_t width = kSortChunk; width < n; width *= 2) {
-    for (size_t lo = 0; lo + width < n; lo += 2 * width) {
-      const auto begin = order.begin() + static_cast<ptrdiff_t>(lo);
-      std::inplace_merge(begin, begin + static_cast<ptrdiff_t>(width),
-                         order.begin() +
-                             static_cast<ptrdiff_t>(std::min(n, lo + 2 * width)),
-                         less);
-    }
-  }
-  std::vector<SolutionState::CandidateView> sorted;
-  sorted.reserve(n);
-  for (uint32_t idx : order) sorted.push_back(std::move(c[idx]));
-  c = std::move(sorted);
-}
-
-}  // namespace
 
 std::vector<std::vector<NodeId>> PackDisjointCandidates(
-    const SolutionState& state, uint32_t slot, ThreadPool* pool) {
+    const SolutionState& state, uint32_t slot) {
   auto candidates = state.CandidatesOf(slot);
-  SortCandidatesByScore(&candidates, pool);
+  // Ascending score; stable, so ties go to registration order.
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const SolutionState::CandidateView& a,
+                      const SolutionState::CandidateView& b) {
+                     return a.score < b.score;
+                   });
   std::vector<std::vector<NodeId>> chosen;
   std::vector<NodeId> taken;  // nodes consumed by chosen candidates
   for (auto& cand : candidates) {
@@ -118,16 +69,15 @@ std::vector<uint32_t> StageReplacement(
 
 void CommitReplacement(SolutionState* state, uint32_t slot,
                        const std::vector<std::vector<NodeId>>& replacement,
-                       SwapQueue* queue, UpdateWork* budget,
-                       ThreadPool* pool) {
+                       SwapQueue* queue, UpdateWork* budget) {
   const std::vector<uint32_t> to_rebuild =
       StageReplacement(state, slot, replacement);
 
   // The rebuilds charge the meter themselves (one unit each plus one per
   // DFS branch entered) and may be truncated by its deterministic cap —
-  // see RebuildCandidatesForMany.
+  // see RebuildCandidatesFor.
   std::vector<size_t> counts;
-  state->RebuildCandidatesForMany(to_rebuild, pool, &counts, budget);
+  state->RebuildCandidatesForMany(to_rebuild, &counts, budget);
   for (size_t i = 0; i < to_rebuild.size(); ++i) {
     if (queue != nullptr && counts[i] > 0) {
       queue->push_back(state->RefOf(to_rebuild[i]));
@@ -136,7 +86,7 @@ void CommitReplacement(SolutionState* state, uint32_t slot,
 }
 
 SwapStats TrySwapLoop(SolutionState* state, SwapQueue* queue,
-                      UpdateWork* budget, ThreadPool* pool) {
+                      UpdateWork* budget) {
   SwapStats stats;
   while (!queue->empty()) {
     if (budget != nullptr && budget->Exhausted()) {
@@ -151,11 +101,11 @@ SwapStats TrySwapLoop(SolutionState* state, SwapQueue* queue,
     if (!state->RefValid(ref)) continue;  // swapped away since enqueue
     ++stats.pops;
     if (budget != nullptr) budget->Charge(1);
-    auto replacement = PackDisjointCandidates(*state, ref.slot, pool);
+    auto replacement = PackDisjointCandidates(*state, ref.slot);
     if (replacement.size() <= 1) continue;  // no net gain: keep C
     ++stats.commits;
     stats.cliques_gained += replacement.size() - 1;
-    CommitReplacement(state, ref.slot, replacement, queue, budget, pool);
+    CommitReplacement(state, ref.slot, replacement, queue, budget);
   }
   return stats;
 }

@@ -20,6 +20,11 @@
 // which is the price of bounding a single huge neighborhood rebuild. With
 // a pure work cap (no wall-clock deadline) the abort outcome is a property
 // of the update stream, byte-identical at every thread count.
+//
+// Everything here runs serially on the caller's thread: the per-epoch
+// packs, rebuilds and commits are microsecond-scale, and a pool fan-out
+// over them measured slower than the serial loop (README, "Dynamic
+// engine").
 
 #ifndef DKC_DYNAMIC_SWAP_H_
 #define DKC_DYNAMIC_SWAP_H_
@@ -46,12 +51,8 @@ struct SwapStats {
 /// Greedy maximal disjoint packing of the alive candidates of `slot`,
 /// ascending clique score (deterministic: ties by registration order).
 /// Returned cliques are node-vectors safe to use after the slot dies.
-/// With `pool`, large candidate sets are sorted in parallel under the
-/// (score, registration index) total order — the same permutation the
-/// serial stable_sort produces, so the packing is byte-identical at any
-/// thread count.
 std::vector<std::vector<NodeId>> PackDisjointCandidates(
-    const SolutionState& state, uint32_t slot, ThreadPool* pool = nullptr);
+    const SolutionState& state, uint32_t slot);
 
 /// Structural half of a replacement commit: remove solution clique `slot`
 /// (must be alive), add the `replacement` cliques (each must consist of
@@ -68,21 +69,19 @@ std::vector<uint32_t> StageReplacement(
 /// Replace solution clique `slot` (must be alive) by `replacement` cliques
 /// (each must consist of nodes that are free once `slot` is removed).
 /// Rebuilds candidates for the added cliques and for every clique adjacent
-/// to a node that ended up free (fanned across `pool` when given), pushing
-/// the ones with candidates to `queue` (when non-null) for further
-/// swapping. Rebuild work is charged to `budget` when given; the commit
-/// itself is atomic — it never aborts partway.
+/// to a node that ended up free, pushing the ones with candidates to
+/// `queue` (when non-null) for further swapping. Rebuild work is charged
+/// to `budget` when given; the commit itself is atomic — it never aborts
+/// partway.
 void CommitReplacement(SolutionState* state, uint32_t slot,
                        const std::vector<std::vector<NodeId>>& replacement,
-                       SwapQueue* queue, UpdateWork* budget = nullptr,
-                       ThreadPool* pool = nullptr);
+                       SwapQueue* queue, UpdateWork* budget = nullptr);
 
 /// Algorithm 4: drain the queue, swapping wherever |S_dis| >= 2. Under a
 /// budget the drain aborts at a pop boundary once the meter is exhausted
 /// (stats.aborted; remaining queue entries are discarded).
 SwapStats TrySwapLoop(SolutionState* state, SwapQueue* queue,
-                      UpdateWork* budget = nullptr,
-                      ThreadPool* pool = nullptr);
+                      UpdateWork* budget = nullptr);
 
 }  // namespace dkc
 

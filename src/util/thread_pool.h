@@ -44,8 +44,8 @@ class ThreadPool {
   /// Submit `fn(worker_index)` once per pool thread and block until every
   /// instance returns. The building block for passes that keep worker-
   /// private scratch (a kernel + arena) and pull work items off a shared
-  /// atomic cursor — the candidate-index rebuild fan-outs use it so the
-  /// submit/cursor boilerplate lives in one place. With an empty pool runs
+  /// atomic cursor — the whole-solution candidate-index build uses it so
+  /// the submit/cursor boilerplate lives in one place. With an empty pool runs
   /// fn(0) inline.
   void RunPerWorker(const std::function<void(size_t)>& fn);
 

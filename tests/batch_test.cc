@@ -12,16 +12,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/verify.h"
+#include "dynamic/candidate_index.h"
 #include "dynamic/dynamic_solver.h"
 #include "dynamic/solution_view.h"
 #include "dynamic/workload.h"
 #include "gen/generators.h"
 #include "graph/graph.h"
+#include "io/fault.h"
+#include "store/store.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -36,6 +41,24 @@ std::vector<std::vector<NodeId>> ToVectors(const CliqueStore& set) {
     out.emplace_back(clique.begin(), clique.end());
   }
   return out;
+}
+
+// Every field of `view` equals a from-scratch build over `solver`'s state,
+// and the groups follow the state's live slots in ascending order.
+void ExpectViewMatchesFreshBuild(const DynamicSolver& solver,
+                                 const SolutionView& view) {
+  const auto fresh = BuildSolutionView(solver.state(), solver.epoch(),
+                                       solver.updates_applied());
+  EXPECT_EQ(view.epoch, fresh->epoch);
+  EXPECT_EQ(view.updates_applied, fresh->updates_applied);
+  EXPECT_EQ(ToVectors(view.solution), ToVectors(fresh->solution));
+  EXPECT_EQ(view.node_to_group, fresh->node_to_group);
+  EXPECT_EQ(view.group_scores, fresh->group_scores);
+  EXPECT_EQ(view.packing->group_slot, fresh->packing->group_slot);
+  EXPECT_EQ(view.packing->solution_version, fresh->packing->solution_version);
+  std::vector<uint32_t> live;
+  solver.state().ForEachSlot([&live](uint32_t slot) { live.push_back(slot); });
+  EXPECT_EQ(fresh->packing->group_slot, live);
 }
 
 TEST(BatchTest, FuzzedEpochsKeepEveryInvariant) {
@@ -109,6 +132,7 @@ TEST(BatchTest, FuzzedEpochsKeepEveryInvariant) {
       EXPECT_EQ(view->updates_applied, updates_applied);
       ASSERT_TRUE(view->Consistent(&error)) << error;
       EXPECT_EQ(ToVectors(view->solution), ToVectors(solver->Snapshot()));
+      ExpectViewMatchesFreshBuild(*solver, *view);
     }
     EXPECT_EQ(solver->aborted_updates(), 0u);
   }
@@ -251,18 +275,6 @@ TEST(BatchTest, EmptyBatchIsANoOp) {
   EXPECT_EQ(solver->published_view(), view_before);
 }
 
-// Every field of `view` equals a from-scratch build over `solver`'s state.
-void ExpectViewMatchesFreshBuild(const DynamicSolver& solver,
-                                 const SolutionView& view) {
-  const auto fresh = BuildSolutionView(solver.state(), solver.epoch(),
-                                       solver.updates_applied());
-  EXPECT_EQ(view.epoch, fresh->epoch);
-  EXPECT_EQ(view.updates_applied, fresh->updates_applied);
-  EXPECT_EQ(ToVectors(view.solution), ToVectors(fresh->solution));
-  EXPECT_EQ(view.node_to_group, fresh->node_to_group);
-  EXPECT_EQ(view.group_scores, fresh->group_scores);
-}
-
 TEST(BatchTest, SharedPublishMatchesFreshBuildEveryEpoch) {
   // PublishView reuses the current packing while S and the node count are
   // unchanged. After every epoch, at batch 1 (most epochs leave S alone)
@@ -307,7 +319,7 @@ TEST(BatchTest, SharedPublishMatchesFreshBuildEveryEpoch) {
 
     // An insert naming a brand-new node id cannot form a k-clique (the
     // node has one neighbor), so S stays put — but node_to_group must
-    // grow, so the packing is rebuilt.
+    // grow, so the packing is patched rather than shared.
     const auto before = solver->published_view();
     const uint64_t version = solver->state().solution_version();
     const NodeId fresh = solver->graph().num_nodes() + 5;
@@ -370,6 +382,220 @@ TEST(BatchTest, PublishedViewSurvivesLaterEpochs) {
                 (top[i - 1].first == top[i].first &&
                  top[i - 1].second < top[i].second));
   }
+}
+
+// A delete inside solution clique `slot` that its repair replaces: an edge
+// of the clique that some alive candidate of the slot avoids, so the
+// repair packs at least one replacement — into the slot just freed, since
+// freed slots are reused last-in first-out. False if there is none.
+bool FindRepairingDelete(const SolutionState& state, uint32_t slot,
+                         UpdateOp* op) {
+  const auto nodes = state.SlotNodes(slot);
+  const auto cands = state.CandidatesOf(slot);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (size_t j = i + 1; j < nodes.size(); ++j) {
+      for (const auto& cand : cands) {
+        const auto has = [&](NodeId u) {
+          return std::find(cand.nodes.begin(), cand.nodes.end(), u) !=
+                 cand.nodes.end();
+        };
+        if (!has(nodes[i]) || !has(nodes[j])) {
+          *op = UpdateOp{false, {nodes[i], nodes[j]}};
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+// Up to `limit` repairing deletes, each in a different solution clique.
+std::vector<UpdateOp> RepairingDeletes(const SolutionState& state,
+                                       size_t limit) {
+  std::vector<UpdateOp> ops;
+  state.ForEachSlot([&](uint32_t slot) {
+    UpdateOp op;
+    if (ops.size() < limit && FindRepairingDelete(state, slot, &op)) {
+      ops.push_back(op);
+    }
+  });
+  return ops;
+}
+
+StatusOr<DynamicSolver> BuildWs(uint64_t seed, DynamicOptions* options) {
+  Rng rng(seed);
+  const Graph g = WattsStrogatz(300, 8, 0.1, rng).value();
+  options->k = 3;
+  return DynamicSolver::Build(g, *options);
+}
+
+TEST(BatchTest, PatchedPublishHandlesSlotsFreedAndReusedInOneEpoch) {
+  // A delete repair removes clique C and packs its replacement into C's
+  // freed slot in the same epoch: the slot is touched twice, and the patch
+  // must replace the slot's group, not keep the old one beside the new.
+  DynamicOptions options;
+  auto solver = BuildWs(601, &options);
+  ASSERT_TRUE(solver.ok());
+  size_t reuse_epochs = 0;
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    const auto ops = RepairingDeletes(solver->state(), 4);
+    if (ops.empty()) break;
+    const auto before = solver->published_view();
+    ASSERT_TRUE(solver->ApplyBatch(ops).ok());
+    const auto log = solver->state().solution_log();
+    ASSERT_TRUE(solver->state().solution_log_intact());
+    for (const uint32_t slot : log) {
+      if (std::count(log.begin(), log.end(), slot) >= 2 &&
+          solver->state().SlotAlive(slot)) {
+        ++reuse_epochs;
+        break;
+      }
+    }
+    solver->PublishView();
+    const auto view = solver->published_view();
+    EXPECT_NE(view->packing, before->packing);
+    ExpectViewMatchesFreshBuild(*solver, *view);
+    std::string error;
+    EXPECT_TRUE(view->Consistent(&error)) << error;
+  }
+  EXPECT_GT(reuse_epochs, 0u) << "no epoch reused a freed slot";
+}
+
+TEST(BatchTest, OverflowedLogPublishesAFullBuild) {
+  // A solver that applies epochs without publishing drops its change log
+  // once it would outgrow the slot table; the next publish cannot patch
+  // and builds in full, after which patching resumes.
+  DynamicOptions options;
+  auto solver = BuildWs(602, &options);
+  ASSERT_TRUE(solver.ok());
+  Rng rng(6020);
+  const auto ops = MakeChurnStream(solver->graph().ToGraph(), 64 * 200, rng);
+  const std::span<const UpdateOp> all(ops);
+  size_t i = 0;
+  while (i < all.size() && solver->state().solution_log_intact()) {
+    ASSERT_TRUE(solver->ApplyBatch(all.subspan(i, 64)).ok());
+    i += 64;
+  }
+  ASSERT_FALSE(solver->state().solution_log_intact())
+      << "the stream never overflowed the log";
+  EXPECT_TRUE(solver->state().solution_log().empty());
+  solver->PublishView();
+  ExpectViewMatchesFreshBuild(*solver, *solver->published_view());
+  EXPECT_TRUE(solver->state().solution_log_intact());
+  for (int epoch = 0; epoch < 4 && i < all.size(); ++epoch, i += 64) {
+    ASSERT_TRUE(solver->ApplyBatch(all.subspan(i, 64)).ok());
+    solver->PublishView();
+    ExpectViewMatchesFreshBuild(*solver, *solver->published_view());
+  }
+}
+
+TEST(BatchTest, PatchedPublishGrowsNodeToGroupWhenSChanges) {
+  // One epoch both changes S (repairing deletes) and names a brand-new
+  // node id: the patch must lengthen node_to_group and renumber groups.
+  DynamicOptions options;
+  auto solver = BuildWs(603, &options);
+  ASSERT_TRUE(solver.ok());
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    auto ops = RepairingDeletes(solver->state(), 3);
+    ASSERT_FALSE(ops.empty());
+    const NodeId n = solver->graph().num_nodes();
+    ops.push_back(UpdateOp{true, {1, n + 3}});
+    const uint64_t version = solver->state().solution_version();
+    ASSERT_TRUE(solver->ApplyBatch(ops).ok());
+    ASSERT_NE(solver->state().solution_version(), version);
+    ASSERT_TRUE(solver->state().solution_log_intact());
+    solver->PublishView();
+    const auto view = solver->published_view();
+    EXPECT_EQ(view->node_to_group.size(), n + 4);
+    ExpectViewMatchesFreshBuild(*solver, *view);
+  }
+}
+
+TEST(BatchTest, FirstPublishAfterFromStateIsAFullBuild) {
+  // The change log is not persisted: a restored state has none, so the
+  // resumed solver's first view is a full build, and later epochs patch.
+  DynamicOptions options;
+  auto solver = BuildWs(604, &options);
+  ASSERT_TRUE(solver.ok());
+  Rng rng(6040);
+  const auto ops = MakeChurnStream(solver->graph().ToGraph(), 64 * 6, rng);
+  const std::span<const UpdateOp> all(ops);
+  ASSERT_TRUE(solver->ApplyBatch(all.subspan(0, 64)).ok());
+  solver->PublishView();
+
+  std::string graph_bytes, state_bytes;
+  solver->state().SerializeGraphTo(&graph_bytes);
+  solver->state().SerializeStateTo(&state_bytes);
+  auto restored = SolutionState::Deserialize(graph_bytes, state_bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_FALSE((*restored)->solution_log_intact());
+  auto resumed = DynamicSolver::FromState(std::move(*restored), options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectViewMatchesFreshBuild(*resumed, *resumed->published_view());
+  EXPECT_EQ(ToVectors(resumed->published_view()->solution),
+            ToVectors(solver->published_view()->solution));
+  for (size_t i = 64; i < all.size(); i += 64) {
+    ASSERT_TRUE(resumed->ApplyBatch(all.subspan(i, 64)).ok());
+    resumed->PublishView();
+    ExpectViewMatchesFreshBuild(*resumed, *resumed->published_view());
+  }
+}
+
+TEST(BatchTest, FirstPublishAfterStoreOpenAndReopenMatchesFreshBuild) {
+  // Recovery (Open, and Reopen of a sealed store) builds a new solver from
+  // the snapshot and replays the WAL tail through ApplyBatch; its first
+  // publish and every later patched one must equal a fresh build.
+  Rng rng(605);
+  const Graph g = WattsStrogatz(300, 8, 0.1, rng).value();
+  const auto ops = MakeChurnStream(g, 64 * 8, rng);
+  const std::span<const UpdateOp> all(ops);
+  const std::string snapshot = ::testing::TempDir() + "/batch_publish.snap";
+  const std::string wal = ::testing::TempDir() + "/batch_publish.wal";
+  StoreOptions options;
+  options.dynamic.k = 3;
+  {
+    auto created = DurableStore::Create(g, snapshot, wal, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    for (size_t i = 0; i < 64 * 2; i += 64) {
+      ASSERT_TRUE(created->ApplyBatch(all.subspan(i, 64)).ok());
+      ExpectViewMatchesFreshBuild(created->solver(),
+                                  *created->solver().published_view());
+    }
+  }
+  auto store = DurableStore::Open(snapshot, wal, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ExpectViewMatchesFreshBuild(store->solver(),
+                              *store->solver().published_view());
+  size_t i = 64 * 2;
+  for (; i < 64 * 4; i += 64) {
+    ASSERT_TRUE(store->ApplyBatch(all.subspan(i, 64)).ok());
+    ExpectViewMatchesFreshBuild(store->solver(),
+                                *store->solver().published_view());
+  }
+
+  if (kFaultInjectionCompiledIn) {
+    FaultRule rule;
+    rule.site = FaultSite::kWalFsync;
+    rule.error = ENOSPC;
+    rule.fail_count = 0;  // sticky until disarmed
+    FaultInjector::Instance().Arm({rule});
+    const Status failed = store->ApplyBatch(all.subspan(i, 64));
+    FaultInjector::Instance().Disarm();
+    ASSERT_FALSE(failed.ok());
+    ASSERT_TRUE(store->sealed());
+    ASSERT_TRUE(store->Reopen().ok());
+    ExpectViewMatchesFreshBuild(store->solver(),
+                                *store->solver().published_view());
+    for (; i < all.size(); i += 64) {
+      ASSERT_TRUE(store->ApplyBatch(all.subspan(i, 64)).ok());
+      ExpectViewMatchesFreshBuild(store->solver(),
+                                  *store->solver().published_view());
+    }
+  }
+  std::remove(snapshot.c_str());
+  std::remove(wal.c_str());
 }
 
 }  // namespace

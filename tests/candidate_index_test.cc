@@ -184,12 +184,11 @@ TEST(SolutionStateTest, RebuildReportsEdgeCandidateDirectly) {
 }
 
 TEST(SolutionStateTest, RebuildManyMatchesSerialExactly) {
-  // The pooled fan-out must reproduce the serial per-slot loop to the
-  // byte: same candidates, same registration order per slot.
+  // The pooled whole-solution rebuild must reproduce the serial per-slot
+  // loop to the byte: same candidates, same registration order per slot.
   Graph g = testing::RandomGraph(200, 0.07, /*seed=*/220);
   SolutionState serial(DynamicGraph(g), 3, ScoresFor(g, 3));
   SolutionState pooled(DynamicGraph(g), 3, ScoresFor(g, 3));
-  pooled.set_parallel_rebuild_min_slots(1);  // engage the pool regardless
   std::vector<uint8_t> used(g.num_nodes(), 0);
   std::vector<uint32_t> slots;
   for (const auto& tri : testing::BruteForceKCliques(g, 3)) {
@@ -199,11 +198,9 @@ TEST(SolutionStateTest, RebuildManyMatchesSerialExactly) {
     pooled.AddSolutionClique(tri);
   }
   ASSERT_GE(slots.size(), 2u);
-  std::vector<size_t> serial_counts, pooled_counts;
-  serial.RebuildCandidatesForMany(slots, nullptr, &serial_counts);
+  serial.RebuildAllCandidates(nullptr);
   ThreadPool pool(4);
-  pooled.RebuildCandidatesForMany(slots, &pool, &pooled_counts);
-  EXPECT_EQ(serial_counts, pooled_counts);
+  pooled.RebuildAllCandidates(&pool);
   EXPECT_EQ(serial.num_alive_candidates(), pooled.num_alive_candidates());
   for (uint32_t s : slots) {
     const auto a = serial.CandidatesOf(s);
@@ -245,66 +242,6 @@ TEST(SolutionStateTest, MeteredRebuildCutsLeaveValidButIncompleteIndex) {
   // The next unbudgeted rebuild of the slot heals the incompleteness.
   EXPECT_EQ(state.RebuildCandidatesFor(c1), complete);
   EXPECT_TRUE(state.CheckCandidateCompleteness(&error)) << error;
-}
-
-TEST(SolutionStateTest, BudgetedRebuildManyMatchesSerialAtEveryCap) {
-  // The pooled fan-out enumerates speculatively and replays the meter
-  // serially; registered candidates, work, and cut counts must equal the
-  // serial loop's for any cap — including caps that truncate mid-slot.
-  Graph g = testing::RandomGraph(200, 0.07, /*seed=*/220);
-  SolutionState serial(DynamicGraph(g), 3, ScoresFor(g, 3));
-  SolutionState pooled(DynamicGraph(g), 3, ScoresFor(g, 3));
-  pooled.set_parallel_rebuild_min_slots(1);  // engage the pool regardless
-  std::vector<uint8_t> used(g.num_nodes(), 0);
-  std::vector<uint32_t> slots;
-  for (const auto& tri : testing::BruteForceKCliques(g, 3)) {
-    if (used[tri[0]] || used[tri[1]] || used[tri[2]]) continue;
-    for (NodeId u : tri) used[u] = 1;
-    slots.push_back(serial.AddSolutionClique(tri));
-    pooled.AddSolutionClique(tri);
-  }
-  ASSERT_GE(slots.size(), 4u);
-  ThreadPool pool(4);
-  bool some_cap_cut_mid_batch = false;
-  for (uint64_t cap : {uint64_t{0}, uint64_t{2}, uint64_t{9}, uint64_t{33},
-                       uint64_t{1000000}}) {
-    SCOPED_TRACE("cap=" + std::to_string(cap));
-    UpdateWork serial_meter, pooled_meter;
-    serial_meter.max_work = cap;
-    pooled_meter.max_work = cap;
-    std::vector<size_t> serial_counts, pooled_counts;
-    serial.RebuildCandidatesForMany(slots, nullptr, &serial_counts,
-                                    &serial_meter);
-    pooled.RebuildCandidatesForMany(slots, &pool, &pooled_counts,
-                                    &pooled_meter);
-    EXPECT_EQ(serial_counts, pooled_counts);
-    EXPECT_EQ(serial_meter.work, pooled_meter.work);
-    EXPECT_EQ(serial_meter.rebuild_cuts, pooled_meter.rebuild_cuts);
-    if (serial_meter.rebuild_cuts > 0 &&
-        serial_meter.rebuild_cuts < slots.size()) {
-      some_cap_cut_mid_batch = true;
-    }
-    for (uint32_t s : slots) {
-      const auto a = serial.CandidatesOf(s);
-      const auto b = pooled.CandidatesOf(s);
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].nodes, b[i].nodes);
-      }
-    }
-    std::string error;
-    EXPECT_TRUE(pooled.CheckInvariants(&error)) << error;
-  }
-  EXPECT_TRUE(some_cap_cut_mid_batch)
-      << "no cap exercised a partial truncation; adjust the cap list";
-}
-
-TEST(SolutionStateTest, ParallelRebuildGateDefaultsToEightAndIsTunable) {
-  Graph g = PaperFig5G1();
-  SolutionState state = Fig5State(g);
-  EXPECT_EQ(state.parallel_rebuild_min_slots(), 8u);
-  state.set_parallel_rebuild_min_slots(2);
-  EXPECT_EQ(state.parallel_rebuild_min_slots(), 2u);
 }
 
 TEST(SolutionStateTest, CompletenessCheckerCatchesMissingCandidates) {

@@ -231,9 +231,10 @@ TEST(SubsetCliqueTest, WholeGraphSubsetMatchesGlobalEnumeration) {
 
 TEST(SubsetCliqueTest, BudgetTruncatesAtExactBranchBoundaries) {
   // K6: rich enough that the 3-clique DFS has many branch nodes. The
-  // budgeted enumeration must emit exactly the cliques whose recorded
-  // charge point fits the cap, charge min(total, cap) units, and latch
-  // `cut` iff the cap actually truncated — for EVERY cap value.
+  // budgeted enumeration must emit exactly the cliques whose charge point
+  // (the units used when an unbudgeted run emits it) fits the cap, charge
+  // min(total, cap) units, and latch `cut` iff the cap actually truncated
+  // — for EVERY cap value.
   GraphBuilder b;
   for (NodeId u = 0; u < 6; ++u) {
     for (NodeId v = u + 1; v < 6; ++v) b.AddEdge(u, v);
@@ -245,11 +246,11 @@ TEST(SubsetCliqueTest, BudgetTruncatesAtExactBranchBoundaries) {
   std::vector<std::vector<NodeId>> reference;
   std::vector<uint64_t> charge_points;
   EnumBudget recorder;
-  recorder.emit_used = &charge_points;
   ForEachKCliqueInSubset(
       g, all, 3,
       [&](std::span<const NodeId> nodes) {
         reference.emplace_back(nodes.begin(), nodes.end());
+        charge_points.push_back(recorder.used);
         return true;
       },
       nullptr, &recorder);

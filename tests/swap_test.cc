@@ -136,10 +136,10 @@ TEST(SwapTest, CommitReplacementRebuildsAffectedNeighbors) {
   EXPECT_TRUE(state.CheckInvariants(&error)) << error;
 }
 
-TEST(PackTest, ParallelSortMatchesSerialOnLargeCandidateSets) {
-  // A hub clique with ~90 candidate triangles (well past the parallel-sort
-  // threshold): the pooled pack must equal the serial pack byte for byte,
-  // including score ties resolved by registration order.
+TEST(PackTest, LargeCandidateSetPacksByScoreThenRegistrationOrder) {
+  // A hub clique with ~90 candidate triangles: the pack must be the greedy
+  // disjoint pass over the candidates in ascending score, ties resolved by
+  // registration order.
   GraphBuilder b;
   b.AddEdge(0, 1);
   b.AddEdge(1, 2);
@@ -157,11 +157,26 @@ TEST(PackTest, ParallelSortMatchesSerialOnLargeCandidateSets) {
   const uint32_t c1 = state.AddSolutionClique(std::vector<NodeId>{0, 1, 2});
   ASSERT_GE(state.RebuildCandidatesFor(c1), 90u);
 
-  const auto serial = PackDisjointCandidates(state, c1, nullptr);
-  ThreadPool pool2(2), pool4(4);
-  EXPECT_EQ(PackDisjointCandidates(state, c1, &pool2), serial);
-  EXPECT_EQ(PackDisjointCandidates(state, c1, &pool4), serial);
-  EXPECT_GE(serial.size(), 3u);  // one disjoint pick per hub node
+  const auto cands = state.CandidatesOf(c1);  // registration order
+  std::vector<size_t> order(cands.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return cands[x].score != cands[y].score ? cands[x].score < cands[y].score
+                                            : x < y;
+  });
+  std::vector<std::vector<NodeId>> expected;
+  std::vector<uint8_t> taken(g.num_nodes(), 0);
+  for (size_t i : order) {
+    const auto& nodes = cands[i].nodes;
+    if (std::any_of(nodes.begin(), nodes.end(),
+                    [&](NodeId u) { return taken[u] != 0; })) {
+      continue;
+    }
+    for (NodeId u : nodes) taken[u] = 1;
+    expected.push_back(nodes);
+  }
+  EXPECT_EQ(PackDisjointCandidates(state, c1), expected);
+  EXPECT_GE(expected.size(), 3u);  // one disjoint pick per hub node
 }
 
 TEST(SwapTest, BudgetAbortsLoopAtPopBoundary) {

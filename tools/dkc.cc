@@ -96,7 +96,7 @@ int Usage() {
                "  match:  [--exact]\n"
                "  stats:  [--kmin=3 --kmax=6]\n"
                "  update: --k=3 [--updates=2000] [--update-budget-ms=x]\n"
-               "          [--update-branch-budget=n] [--rebuild-min-slots=n]\n"
+               "          [--update-branch-budget=n]\n"
                "          [--batch=N] [--hot=H]\n"
                "  serve:  --snapshot=path --wal=path --k=3\n"
                "          [--churn=n | --updates-from=path|-]\n"
@@ -261,9 +261,6 @@ int RunUpdate(const dkc::Flags& flags, const dkc::Graph& g) {
   options.update_budget.time_ms = flags.GetDouble("update-budget-ms", 0);
   options.update_budget.max_branch_nodes =
       static_cast<uint64_t>(flags.GetInt("update-branch-budget", 0));
-  options.parallel_rebuild_min_slots = static_cast<size_t>(flags.GetInt(
-      "rebuild-min-slots",
-      static_cast<long>(dkc::DynamicOptions{}.parallel_rebuild_min_slots)));
   const auto pool = MakePool(flags);
   options.pool = pool.get();
 

@@ -24,7 +24,7 @@
 // replayed through DynamicSolver::ApplyBatch in epochs of N (reporting
 // updates/sec and deduped dirty-slot rebuilds per update), a
 // hot-neighborhood burst stream where the dedup bites hardest, and — with
-// --persist — the group-commit table: persisted batch=1 vs batch=N with
+// --persist — the epoch-commit table: persisted batch=1 vs batch=N with
 // fsync on and off, i.e. the N-updates-one-fsync amortization headline.
 
 #include <algorithm>
@@ -122,10 +122,10 @@ UpdateRun RunBatched(const dkc::Graph& start,
 
 // Replays `ops` through a DurableStore at `dir` — the serving
 // configuration: every update WAL-logged (and fsynced unless !sync)
-// before it is applied. batch=0 uses per-update Apply; batch>=1 uses
-// group-committed ApplyBatch epochs (one fsync per epoch). The maintained
-// solution is identical to the in-memory run; only the durability cost
-// differs.
+// before it is applied, in ApplyBatch epochs of `batch` updates (one
+// fsync per epoch; batch=0 is one update per epoch, like batch=1). The
+// maintained solution is identical to the in-memory run; only the
+// durability cost differs.
 UpdateRun RunPersisted(const dkc::Graph& start,
                        const std::vector<dkc::UpdateOp>& ops, int k,
                        double budget_ms, dkc::ThreadPool* pool,
@@ -141,16 +141,11 @@ UpdateRun RunPersisted(const dkc::Graph& start,
                                          options);
   if (!store.ok()) return run;
   dkc::Timer timer;
-  if (batch >= 1) {
-    const std::span<const dkc::UpdateOp> all(ops);
-    for (size_t i = 0; i < all.size(); i += batch) {
-      const auto epoch = all.subspan(i, std::min(batch, all.size() - i));
-      if (!store->ApplyBatch(epoch).ok()) return run;
-    }
-  } else {
-    for (const auto& op : ops) {
-      if (!store->Apply(op).ok()) return run;
-    }
+  const size_t step = std::max<size_t>(batch, 1);
+  const std::span<const dkc::UpdateOp> all(ops);
+  for (size_t i = 0; i < all.size(); i += step) {
+    const auto epoch = all.subspan(i, std::min(step, all.size() - i));
+    if (!store->ApplyBatch(epoch).ok()) return run;
   }
   const double total_ns = static_cast<double>(timer.ElapsedNanos());
   run.ok = true;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <utility>
 #include <string>
 #include <vector>
@@ -340,7 +341,8 @@ void BM_WalAppendNoSync(benchmark::State& state) {
   rec.v = 42;
   for (auto _ : state) {
     ++rec.seq;
-    const dkc::Status status = writer->Append(rec, /*sync=*/false);
+    const dkc::Status status =
+        writer->AppendGroup(std::span(&rec, 1), /*sync=*/false);
     benchmark::DoNotOptimize(status.ok());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -374,7 +376,7 @@ void BM_StoreApplyNoSync(benchmark::State& state) {
     // Alternate the op with its inverse so state stays reusable.
     next.is_insert =
         !store->solver().graph().HasEdge(op.edge.first, op.edge.second);
-    const dkc::Status status = store->Apply(next);
+    const dkc::Status status = store->ApplyBatch(std::span(&next, 1));
     benchmark::DoNotOptimize(status.ok());
     ++i;
   }

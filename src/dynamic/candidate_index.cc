@@ -220,6 +220,7 @@ void SolutionState::KillOwnedCandidates(uint32_t slot) {
     if (CandValid(ref)) KillCandidate(ref.idx);
   }
   clique.cands.clear();
+  clique.incomplete = false;
 }
 
 size_t SolutionState::RebuildCandidatesFor(uint32_t slot, UpdateWork* meter) {
@@ -232,6 +233,7 @@ size_t SolutionState::RebuildCandidatesFor(uint32_t slot, UpdateWork* meter) {
     EnumerateCandidatesFor(slot, &found, &subset_kernel_, &budget);
     meter->work = budget.used;
     if (budget.cut) ++meter->rebuild_cuts;
+    cliques_[slot].incomplete = budget.cut;
   } else {
     EnumerateCandidatesFor(slot, &found, &subset_kernel_);
   }

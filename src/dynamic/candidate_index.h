@@ -47,7 +47,7 @@ class SolutionState {
 
   /// Takes over the graph; `node_scores` are the static Definition-5 scores
   /// used to order candidates inside swaps (kept fixed between rebuilds, an
-  /// efficiency choice documented in DESIGN.md).
+  /// efficiency choice: refreshing them would rescore every candidate).
   SolutionState(DynamicGraph graph, int k, std::vector<Count> node_scores);
 
   // --- queries -------------------------------------------------------
@@ -88,6 +88,11 @@ class SolutionState {
   std::span<const NodeId> SlotNodes(uint32_t slot) const {
     return {cliques_[slot].nodes.data(), cliques_[slot].nodes.size()};
   }
+  /// True iff the slot's last rebuild was cut by the work cap, so its
+  /// candidate set may miss k-cliques until an unmetered rebuild.
+  bool SlotIncomplete(uint32_t slot) const {
+    return cliques_[slot].incomplete;
+  }
 
   /// Copy of the current S.
   CliqueStore Snapshot() const;
@@ -114,7 +119,8 @@ class SolutionState {
   /// (meter->rebuild_cuts records it). A cut rebuild registers only the
   /// candidates found before the cut: each is valid, but the slot's set
   /// may be incomplete until its next rebuild — the documented trade for
-  /// bounding a single huge neighborhood rebuild (see update_work.h).
+  /// bounding a single huge neighborhood rebuild (see update_work.h). The
+  /// slot remembers the cut (SlotIncomplete) until a rebuild completes.
   size_t RebuildCandidatesFor(uint32_t slot, UpdateWork* meter = nullptr);
 
   /// RebuildCandidatesFor on each of `slots` (each alive, no duplicates)
@@ -212,6 +218,9 @@ class SolutionState {
     std::vector<CandRef> cands;
     uint32_t gen = 0;
     bool alive = false;
+    // See SlotIncomplete. Removal clears it (KillOwnedCandidates), so a
+    // reused slot starts complete.
+    bool incomplete = false;
   };
 
   bool CandValid(CandRef ref) const {
@@ -219,9 +228,10 @@ class SolutionState {
            candidates_[ref.idx].gen == ref.gen;
   }
   void KillCandidate(uint32_t idx);
-  // Kills every alive candidate of `slot` and clears its cands list — the
-  // shared first half of a rebuild (serial and pooled paths must stay
-  // identical, so there is exactly one implementation).
+  // Kills every alive candidate of `slot`, clears its cands list and its
+  // incomplete flag — the shared first half of a rebuild (serial and
+  // pooled paths must stay identical, so there is exactly one
+  // implementation).
   void KillOwnedCandidates(uint32_t slot);
   // Appends `slot` to the change log, or drops the log once it would
   // outgrow the slot table (see solution_log()).

@@ -334,15 +334,15 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
         // The edge broke solution clique C: mandatory repair. The
         // replacement's rebuilds join the epoch's dirty set.
         ustat.repaired = true;
-        if (dirty.IsActive(cu)) {
-          // Earlier ops of this epoch deferred C's rebuild, so its indexed
-          // candidate set is stale — missing k-cliques the epoch's inserts
-          // created through C. The repair packs exactly that set, and the
+        if (dirty.IsActive(cu) || state_->SlotIncomplete(cu)) {
+          // C's indexed candidate set may miss k-cliques: earlier ops of
+          // this epoch deferred its rebuild, or a work-capped rebuild (of
+          // any epoch) was cut. The repair packs exactly that set, and the
           // maximality invariant rests on the packing being maximal over
           // C's *complete* candidates (a missed one goes all-free once C
-          // dies and nothing ever materializes it). Settle the owed
-          // rebuild now (a one-op epoch never reaches this).
-          state_->RebuildCandidatesFor(cu, &meter);
+          // dies and nothing ever materializes it). Settle the set now,
+          // unmetered: a cut here would break maximality.
+          state_->RebuildCandidatesFor(cu);
         }
         dirty.Deactivate(cu);
         const auto replacement = PackDisjointCandidates(*state_, cu);

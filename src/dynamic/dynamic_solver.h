@@ -33,16 +33,18 @@ struct DynamicOptions {
   /// Static method that seeds the initial solution.
   Method initial_method = Method::kLP;
   Budget initial_budget;
-  /// Per-update maintenance budget: time_ms is a wall-clock deadline per
-  /// ApplyBatch call (consulted at swap-pop boundaries),
-  /// max_branch_nodes a *deterministic* work cap (units: swap pops +
-  /// candidate rebuilds + DFS branch nodes entered during rebuild
-  /// enumerations). Exhaustion never corrupts the solution — structural
-  /// repair (broken-clique replacement, candidate kills) always runs, and
-  /// every indexed candidate stays valid; the growth-chasing swap loop is
-  /// cut at a pop boundary and an oversized rebuild enumeration at a DFS
-  /// branch boundary (the slot's candidate set may then be incomplete
-  /// until its next rebuild — see update_work.h). Both cuts are surfaced
+  /// Per-update maintenance budget for *growth* work: time_ms is a
+  /// wall-clock deadline per ApplyBatch call (consulted at swap-pop
+  /// boundaries), max_branch_nodes a *deterministic* work cap (units:
+  /// swap pops + candidate rebuilds + DFS branch nodes entered during
+  /// rebuild enumerations). Exhaustion never corrupts the solution:
+  /// the growth-chasing swap loop is cut at a pop boundary and an
+  /// oversized rebuild enumeration at a DFS branch boundary (the slot is
+  /// then flagged incomplete — see update_work.h), while structural
+  /// repair (broken-clique replacement, candidate kills) always runs in
+  /// full. The repair first rebuilds an owed or incomplete candidate set
+  /// unmetered, so the solution stays maximal; the budget therefore bounds
+  /// growth work, not worst-case epoch latency. Both cuts are surfaced
   /// through last_batch_stats(). With a pure work cap the abort outcome
   /// is byte-identical at every thread count. Zero fields = unlimited.
   Budget update_budget;
@@ -176,9 +178,9 @@ class DynamicSolver {
   /// Epochs applied: successful non-empty ApplyBatch calls, each
   /// InsertEdge/DeleteEdge counting as one (the build is epoch 0).
   uint64_t epoch() const { return epoch_; }
-  /// The last published read snapshot — lock-free for readers; never
-  /// blocks on (and is never torn by) a concurrent ApplyBatch. See
-  /// solution_view.h.
+  /// The last published read snapshot — a pointer copy under a short
+  /// mutex; never waits for (and is never torn by) a concurrent
+  /// ApplyBatch. See solution_view.h.
   std::shared_ptr<const SolutionView> published_view() const {
     return publisher_->Current();
   }

@@ -1,9 +1,10 @@
 // Non-blocking read snapshots of the dynamic solution.
 //
 // Every epoch boundary the caller chooses publishes an immutable
-// SolutionView via an atomic shared_ptr swap; readers keep whatever view
+// SolutionView by swapping one shared_ptr; readers keep whatever view
 // they grabbed alive for as long as they hold the pointer. Readers — `dkc
-// serve` queries, top-k scores — therefore never block on writers and
+// serve` queries, top-k scores — therefore never wait for an epoch's
+// maintenance or publish (only for another thread's pointer copy) and
 // never observe a half-applied epoch: a view is always the exact solution
 // at some epoch boundary of the update stream.
 //
@@ -25,9 +26,9 @@
 #ifndef DKC_DYNAMIC_SOLUTION_VIEW_H_
 #define DKC_DYNAMIC_SOLUTION_VIEW_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -123,20 +124,29 @@ struct SolutionView {
 std::shared_ptr<const SolutionView> BuildSolutionView(
     const SolutionState& state, uint64_t epoch, uint64_t updates_applied);
 
-/// The atomic publication point. Writers Publish at epoch boundaries;
-/// readers Current() from any thread, lock-free with respect to writers
-/// (the shared_ptr keeps a grabbed view alive across later publishes).
+/// The publication point. Writers Publish at epoch boundaries; readers
+/// Current() from any thread (the shared_ptr keeps a grabbed view alive
+/// across later publishes). The mutex is held only for the pointer copy
+/// or swap, never while a view is built or destroyed. It stands in for
+/// std::atomic<std::shared_ptr>, whose libstdc++ 12 load unlocks with a
+/// relaxed store that ThreadSanitizer reports as a race.
 class SolutionPublisher {
  public:
   std::shared_ptr<const SolutionView> Current() const {
-    return view_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return view_;
   }
   void Publish(std::shared_ptr<const SolutionView> view) {
-    view_.store(std::move(view), std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      view_.swap(view);
+    }
+    // `view` now holds the previous view; it is released unlocked.
   }
 
  private:
-  std::atomic<std::shared_ptr<const SolutionView>> view_;
+  mutable std::mutex mu_;
+  std::shared_ptr<const SolutionView> view_;
 };
 
 }  // namespace dkc

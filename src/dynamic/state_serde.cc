@@ -53,7 +53,8 @@ void SolutionState::SerializeStateTo(std::string* out) const {
 
   PutU64(out, cliques_.size());
   for (const SolClique& clique : cliques_) {
-    PutU8(out, clique.alive ? 1 : 0);
+    // Bit 0 = alive, bit 1 = incomplete (see SlotIncomplete).
+    PutU8(out, (clique.alive ? 1 : 0) | (clique.incomplete ? 2 : 0));
     PutU32(out, clique.gen);
     PutU32(out, static_cast<uint32_t>(clique.nodes.size()));
     for (NodeId u : clique.nodes) PutU32(out, u);
@@ -147,7 +148,13 @@ StatusOr<std::unique_ptr<SolutionState>> SolutionState::Deserialize(
   if (num_cliques > sr.remaining()) return Corrupt("truncated clique table");
   state->cliques_.resize(static_cast<size_t>(num_cliques));
   for (SolClique& clique : state->cliques_) {
-    clique.alive = sr.U8() != 0;
+    const uint8_t flags = sr.U8();
+    if (flags > 3) return Corrupt("unknown solution slot flags");
+    clique.alive = (flags & 1) != 0;
+    clique.incomplete = (flags & 2) != 0;
+    if (clique.incomplete && !clique.alive) {
+      return Corrupt("incomplete flag on a dead solution slot");
+    }
     clique.gen = sr.U32();
     const uint32_t num_nodes = sr.U32();
     if (num_nodes > k) return Corrupt("oversized solution clique");

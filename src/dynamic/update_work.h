@@ -9,6 +9,11 @@
 // abort outcome is a property of the update stream, byte-identical at
 // every thread count.
 //
+// The meter bounds growth work only. A delete that breaks a solution
+// clique whose candidate set is incomplete (a cut rebuild) or owed a
+// rebuild settles that set unmetered before repacking, so the solution
+// stays maximal; a single epoch can therefore run past the cap.
+//
 // The wall-clock deadline is the schedule-dependent escape hatch for
 // latency-bound deployments; it is consulted at pop boundaries only (the
 // DFS never reads the clock).
@@ -42,7 +47,8 @@ struct UpdateWork {
   /// mid-enumeration (at a DFS branch boundary). A cut rebuild leaves the
   /// slot's candidate set *valid but possibly incomplete* — every indexed
   /// candidate is real, but growth opportunities may be missing until the
-  /// slot is next rebuilt. Deterministic: a property of the update stream.
+  /// slot is next rebuilt, and the slot is flagged incomplete until then.
+  /// Deterministic: a property of the update stream.
   uint64_t rebuild_cuts = 0;
 
   void Charge(uint64_t units) { work += units; }

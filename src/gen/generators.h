@@ -5,10 +5,10 @@
 //    scalability study verbatim (n = 1M, average degree 8..64 in the paper;
 //    scaled down by default here);
 //  * the other models stand in for the SNAP/KONECT datasets that are not
-//    available offline (see DESIGN.md §3): Barabási–Albert gives the
-//    heavy-tailed degree distribution of social graphs, the planted-clique
-//    model gives instances with a *known* optimal disjoint k-clique packing
-//    for exactness tests.
+//    available offline: Barabási–Albert gives the heavy-tailed degree
+//    distribution of social graphs, the planted-clique model gives
+//    instances with a *known* optimal disjoint k-clique packing for
+//    exactness tests.
 //
 // All generators are deterministic functions of their seed.
 

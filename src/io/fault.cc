@@ -28,7 +28,6 @@ constexpr SiteNameEntry kSiteNames[] = {
     {FaultSite::kDirFsync, "dir_fsync"},
     {FaultSite::kWalOpen, "wal_open"},
     {FaultSite::kWalAppend, "wal_append"},
-    {FaultSite::kWalGroupAppend, "wal_group_append"},
     {FaultSite::kWalFlush, "wal_flush"},
     {FaultSite::kWalFsync, "wal_fsync"},
     {FaultSite::kWalReadOpen, "wal_read_open"},

@@ -64,13 +64,12 @@ enum class FaultSite : uint8_t {
   kDirOpen,   // SyncParentDir: open(dir)
   kDirFsync,  // SyncParentDir: fsync(dirfd)
   // store/wal.cc
-  kWalOpen,         // WalWriter::Open fopen
-  kWalAppend,       // Append fwrite
-  kWalGroupAppend,  // AppendGroup fwrite
-  kWalFlush,        // Sync fflush
-  kWalFsync,        // Sync fsync
-  kWalReadOpen,     // ReadWal stream open (probe)
-  kWalTruncate,     // TruncateWal truncate
+  kWalOpen,      // WalWriter::Open fopen
+  kWalAppend,    // AppendGroup fwrite
+  kWalFlush,     // Sync fflush
+  kWalFsync,     // Sync fsync
+  kWalReadOpen,  // ReadWal stream open (probe)
+  kWalTruncate,  // TruncateWal truncate
   // store/snapshot.cc
   kSnapshotReadOpen,  // ReadSnapshot stream open (probe)
   // store/store.cc

@@ -86,10 +86,9 @@ StatusOr<DurableStore> DurableStore::Open(const std::string& snapshot_path,
   auto scan = ReadWal(wal_path);
   if (!scan.ok()) return scan.status();
   if (scan->torn_tail || scan->torn_group) {
-    // Both cuts land on a committed boundary: a torn final write, or a
-    // group whose commit marker never hit the disk (a crash inside the
-    // group-commit window) — either way valid_bytes is the last durable
-    // epoch/update boundary.
+    // Both cuts land on an epoch boundary: a torn final write, or an
+    // epoch whose closing record never hit the disk — either way
+    // valid_bytes is the last durable epoch boundary.
     DKC_RETURN_IF_ERROR(TruncateWal(wal_path, scan->valid_bytes));
   }
 
@@ -98,15 +97,13 @@ StatusOr<DurableStore> DurableStore::Open(const std::string& snapshot_path,
   auto solver = DynamicSolver::FromState(std::move(loaded->state), dynamic);
   if (!solver.ok()) return solver.status();
 
-  // Replay the tail past the snapshot, segment by segment — a segment is
-  // one bare record or one committed group, replayed as one engine epoch
-  // exactly as the original run applied it, so recovery is byte-identical
-  // (Apply logs a bare record and applies it as a one-op epoch). Segments
-  // at or before applied_seq are already reflected (a crash can land
-  // between the snapshot publish and the WAL compaction of a checkpoint);
-  // anything else must chain consecutively from applied_seq. Checkpoints
-  // only land at segment boundaries, so a segment straddling the snapshot
-  // seq is corruption.
+  // Replay the tail past the snapshot, epoch by epoch, each as one engine
+  // ApplyBatch exactly as the original run applied it, so recovery is
+  // byte-identical. Epochs at or before applied_seq are already reflected
+  // (a crash can land between the snapshot publish and the WAL compaction
+  // of a checkpoint); anything else must chain consecutively from
+  // applied_seq. Checkpoints only land at epoch boundaries, so an epoch
+  // straddling the snapshot seq is corruption.
   uint64_t seq = loaded->meta.applied_seq;
   uint64_t replayed = 0;
   std::vector<UpdateOp> ops;
@@ -116,7 +113,7 @@ StatusOr<DurableStore> DurableStore::Open(const std::string& snapshot_path,
     if (last.seq <= seq) continue;
     if (first.seq <= seq) {
       return Status::Corruption(
-          "WAL '" + wal_path + "' group [" + std::to_string(first.seq) +
+          "WAL '" + wal_path + "' epoch [" + std::to_string(first.seq) +
           ", " + std::to_string(last.seq) +
           "] straddles the snapshot boundary " + std::to_string(seq));
     }
@@ -132,9 +129,9 @@ StatusOr<DurableStore> DurableStore::Open(const std::string& snapshot_path,
     }
     const Status applied = solver->ApplyBatch(ops);
     if (!applied.ok()) {
-      // Apply/ApplyBatch validate before logging, so every logged segment
-      // must apply cleanly to the deterministic replay state.
-      return Status::Corruption("WAL '" + wal_path + "' segment at seq " +
+      // ApplyBatch validates before logging, so every logged epoch must
+      // apply cleanly to the deterministic replay state.
+      return Status::Corruption("WAL '" + wal_path + "' epoch at seq " +
                                 std::to_string(first.seq) +
                                 " rejected on replay: " + applied.ToString());
     }
@@ -163,50 +160,11 @@ Status DurableStore::Seal(Status status) {
   return status;
 }
 
-Status DurableStore::Apply(const UpdateOp& op) {
-  if (sealed()) return seal_;
-  // Validate against the live graph before logging: the WAL must contain
-  // only records that replay cleanly.
-  const std::span<const UpdateOp> one(&op, 1);
-  DKC_RETURN_IF_ERROR(solver_->ValidateBatch(one));
-  const auto [u, v] = op.edge;
-
-  WalRecord rec;
-  rec.seq = applied_seq_ + 1;
-  rec.is_insert = op.is_insert;
-  rec.u = u;
-  rec.v = v;
-  const Status logged = wal_->Append(rec, options_.sync_every_append);
-  // Past validation, every failure seals: a failed append/sync leaves the
-  // durable boundary unknown (see the header's syscall-failure policy).
-  if (!logged.ok()) return Seal(logged);
-
-  const Status applied = solver_->ApplyBatch(one);
-  if (!applied.ok()) {
-    return Seal(Status::Internal("validated update rejected by engine: " +
-                                 applied.ToString()));
-  }
-  applied_seq_ = rec.seq;
-  solver_->PublishView();  // readers see every acknowledged epoch
-
-  if (options_.checkpoint_every > 0 &&
-      applied_seq_ - checkpoint_seq_ >= options_.checkpoint_every) {
-    // The update itself is durable and applied, so it stays acknowledged
-    // no matter how the auto-checkpoint fares: a checkpoint I/O failure
-    // seals the store (visible via sealed()) without retracting the ack —
-    // returning the error here would leave the caller unable to tell an
-    // un-acknowledged update from an acknowledged one that merely failed
-    // to checkpoint.
-    (void)Checkpoint();
-  }
-  return Status::OK();
-}
-
 Status DurableStore::ApplyBatch(std::span<const UpdateOp> ops) {
   if (ops.empty()) return Status::OK();
   if (sealed()) return seal_;
   // Validate the whole epoch before logging — atomic reject, nothing
-  // hits the WAL; the log must contain only groups that replay cleanly.
+  // hits the WAL; the log must contain only epochs that replay cleanly.
   DKC_RETURN_IF_ERROR(solver_->ValidateBatch(ops));
 
   std::vector<WalRecord> recs(ops.size());
@@ -216,8 +174,10 @@ Status DurableStore::ApplyBatch(std::span<const UpdateOp> ops) {
     recs[i].u = ops[i].edge.first;
     recs[i].v = ops[i].edge.second;
   }
-  // The group-commit durability point: members + commit marker in one
-  // buffered write, one fsync for the whole epoch.
+  // The durability point: the whole epoch in one buffered write, one
+  // fsync. Past validation, every failure seals: a failed append/sync
+  // leaves the durable boundary unknown (see the header's syscall-failure
+  // policy).
   const Status logged = wal_->AppendGroup(recs, options_.sync_every_append);
   if (!logged.ok()) return Seal(logged);
   if (options_.after_group_flush) options_.after_group_flush(recs.back().seq);
@@ -232,7 +192,12 @@ Status DurableStore::ApplyBatch(std::span<const UpdateOp> ops) {
 
   if (options_.checkpoint_every > 0 &&
       applied_seq_ - checkpoint_seq_ >= options_.checkpoint_every) {
-    // Acknowledged regardless of the auto-checkpoint outcome — see Apply.
+    // The epoch itself is durable and applied, so it stays acknowledged
+    // no matter how the auto-checkpoint fares: a checkpoint I/O failure
+    // seals the store (visible via sealed()) without retracting the ack —
+    // returning the error here would leave the caller unable to tell an
+    // unacknowledged epoch from an acknowledged one that merely failed to
+    // checkpoint.
     (void)Checkpoint();
   }
   return Status::OK();
@@ -307,7 +272,7 @@ Status DurableStore::Reopen() {
   uint64_t keep = 0;
   uint64_t bytes = 0;
   for (const WalSegment& seg : scan->segments) {
-    bytes += (seg.count + (seg.batched ? 1 : 0)) * kWalRecordBytes;
+    bytes += seg.count * kWalRecordBytes;
     if (scan->records[seg.first + seg.count - 1].seq > applied_seq_) break;
     keep = bytes;
   }

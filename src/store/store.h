@@ -2,27 +2,23 @@
 // survives the process.
 //
 // Durability contract:
-//  * Apply = validate → WAL append (fsync) → in-memory engine apply (a
-//    one-op epoch) → SolutionView publish. An acknowledged update is on
-//    disk before it is visible in memory.
-//  * ApplyBatch = validate the whole epoch → WAL *group commit* (members
-//    + commit marker, one buffered write, one fsync) → engine epoch
-//    apply → SolutionView publish. N updates, one fsync — the throughput
-//    path; readers see every acknowledged epoch. A crash anywhere
-//    inside the group window (during the append, or between the flush and
-//    the engine apply) recovers to the previous epoch boundary: members
-//    without a commit marker are never replayed.
+//  * ApplyBatch is the only way in: validate the whole epoch → WAL append
+//    (the epoch's records in one buffered write, one fsync) → engine
+//    epoch apply → SolutionView publish. An acknowledged epoch is on disk
+//    before it is visible in memory; a single update is a one-op epoch.
+//    A crash anywhere inside the epoch's window (during the append, or
+//    between the flush and the engine apply) recovers to the previous
+//    epoch boundary: an epoch without its closing record never replays.
 //  * Checkpoint = atomic snapshot publish (at the current seq), then WAL
 //    compaction to empty. A crash between the two leaves WAL records the
 //    snapshot already covers; recovery skips them by sequence number.
 //  * Open = load snapshot, scan WAL (truncating a torn tail), replay the
-//    records past the snapshot's seq through the engine — each bare
-//    record or group as one ApplyBatch epoch — then publish the recovered
-//    state once. Because the snapshot captures the engine state verbatim
-//    and every update is deterministic, the recovered solver is
-//    byte-identical to the one that never crashed — same solution, same
-//    candidate index, same future tie-breaks (store_test pins this at
-//    injected kill points).
+//    epochs past the snapshot's seq through the engine — each as one
+//    ApplyBatch — then publish the recovered state once. Because the
+//    snapshot captures the engine state verbatim and every update is
+//    deterministic, the recovered solver is byte-identical to the one
+//    that never crashed — same solution, same candidate index, same
+//    future tie-breaks (store_test pins this at injected kill points).
 //    Deterministic replay presumes deterministic budgets: a wall-clock
 //    update_budget.time_ms waives byte-identity (max_branch_nodes keeps
 //    it).
@@ -39,8 +35,8 @@
 //    failed snapshot publish or WAL compaction inside Checkpoint — SEALS
 //    the store: the in-memory engine stays consistent and reads keep
 //    working (solver(), published views), but every further
-//    Apply/ApplyBatch/Checkpoint refuses with the sealing Status. Sealing
-//    is deliberate: after e.g. a failed fsync the durable boundary on disk
+//    ApplyBatch/Checkpoint refuses with the sealing Status. Sealing is
+//    deliberate: after e.g. a failed fsync the durable boundary on disk
 //    is unknown (the kernel may have dropped the dirty pages), so
 //    acknowledging anything more would risk silent loss.
 //  * Reopen() is the only way out of sealed: it closes the writer, cuts
@@ -73,16 +69,16 @@ struct StoreOptions {
   /// Open, k comes from the snapshot and dynamic.k is overridden.
   DynamicOptions dynamic;
   /// Auto-checkpoint after this many applied updates (0 = manual only).
-  /// Checkpoints land only at update/epoch boundaries, so a snapshot
-  /// never straddles a WAL group.
+  /// Checkpoints land only at epoch boundaries, so a snapshot never
+  /// straddles a WAL epoch.
   uint64_t checkpoint_every = 0;
-  /// fsync the WAL on every Append/AppendGroup. Turning this off trades
+  /// fsync the WAL on every epoch. Turning this off trades
   /// the acknowledged-updates-survive guarantee for throughput (recovery
   /// is still correct, it just replays a shorter intact prefix).
   bool sync_every_append = true;
-  /// Crash-injection hook (tests/CI): called inside the group-commit
-  /// window of ApplyBatch — after the WAL group is flushed, before the
-  /// engine applies the epoch — with the group's last seq. Production
+  /// Crash-injection hook (tests/CI): called inside the commit window of
+  /// ApplyBatch — after the epoch's WAL records are flushed, before the
+  /// engine applies the epoch — with the epoch's last seq. Production
   /// leaves it empty.
   std::function<void(uint64_t)> after_group_flush;
   /// Total published snapshots retained, the live one included (min 1 =
@@ -111,16 +107,12 @@ class DurableStore {
                                      const std::string& wal_path,
                                      const StoreOptions& options);
 
-  /// Log and apply one edge update, then publish it as the solver's new
-  /// SolutionView. InvalidArgument/NotFound for updates the engine would
-  /// reject (nothing is logged for those).
-  Status Apply(const UpdateOp& op);
-
-  /// Log and apply one epoch of updates under group commit: the whole
-  /// batch is validated first (rejected atomically with nothing logged if
-  /// any op is invalid), appended as one WAL group frame with a single
-  /// fsync, then applied through DynamicSolver::ApplyBatch and published
-  /// as the solver's new SolutionView. An empty batch is a no-op.
+  /// Log and apply one epoch of updates: the whole batch is validated
+  /// first (rejected atomically with nothing logged if any op is invalid:
+  /// InvalidArgument/NotFound), appended to the WAL with a single fsync,
+  /// then applied through DynamicSolver::ApplyBatch and published as the
+  /// solver's new SolutionView. One update is a one-op span. An empty
+  /// batch is a no-op.
   Status ApplyBatch(std::span<const UpdateOp> ops);
 
   /// Snapshot now and compact the WAL. With keep_snapshots > 1 the
@@ -158,8 +150,8 @@ class DurableStore {
   /// Recovery accounting from Open (zero after Create).
   uint64_t replayed_records() const { return replayed_records_; }
   bool recovered_torn_tail() const { return recovered_torn_tail_; }
-  /// True iff Open dropped group members with no commit marker — the
-  /// signature of a crash inside the group-commit window.
+  /// True iff Open dropped the records of an epoch with no closing record
+  /// — the signature of a crash inside the epoch's write.
   bool recovered_torn_group() const { return recovered_torn_group_; }
 
   const std::string& snapshot_path() const { return snapshot_path_; }

@@ -14,9 +14,9 @@
 namespace dkc {
 namespace {
 
-void AppendEncoded(std::string* out, WalOp op, const WalRecord& rec) {
+void AppendEncoded(std::string* out, uint8_t op, const WalRecord& rec) {
   const size_t start = out->size();
-  PutU8(out, static_cast<uint8_t>(op));
+  PutU8(out, op);
   PutU32(out, rec.u);
   PutU32(out, rec.v);
   PutU64(out, rec.seq);
@@ -26,25 +26,14 @@ void AppendEncoded(std::string* out, WalOp op, const WalRecord& rec) {
 
 }  // namespace
 
-std::string EncodeWalRecord(const WalRecord& rec) {
-  std::string out;
-  out.reserve(kWalRecordBytes);
-  AppendEncoded(&out, rec.is_insert ? kWalInsert : kWalDelete, rec);
-  return out;
-}
-
 std::string EncodeWalGroup(std::span<const WalRecord> recs) {
   std::string out;
-  out.reserve((recs.size() + 1) * kWalRecordBytes);
-  for (const WalRecord& rec : recs) {
-    AppendEncoded(&out, rec.is_insert ? kWalGroupInsert : kWalGroupDelete,
-                  rec);
+  out.reserve(recs.size() * kWalRecordBytes);
+  for (size_t i = 0; i < recs.size(); ++i) {
+    const uint8_t continues = i + 1 < recs.size() ? kWalOpContinues : 0;
+    const uint8_t insert = recs[i].is_insert ? kWalOpInsert : 0;
+    AppendEncoded(&out, static_cast<uint8_t>(insert | continues), recs[i]);
   }
-  WalRecord commit;
-  commit.u = static_cast<NodeId>(recs.size());
-  commit.v = 0;
-  commit.seq = recs.empty() ? 0 : recs.back().seq;
-  AppendEncoded(&out, kWalGroupCommit, commit);
   return out;
 }
 
@@ -62,30 +51,18 @@ Status WalWriter::Poison(Status status) {
   return status;
 }
 
-Status WalWriter::Append(const WalRecord& rec, bool sync) {
-  if (!poison_.ok()) return poison_;
-  const std::string encoded = EncodeWalRecord(rec);
-  if (fio::FWrite(FaultSite::kWalAppend, encoded.data(), 1, encoded.size(),
-                  file_.get()) != encoded.size()) {
-    // A short buffered append leaves a torn record in the stdio buffer; no
-    // later append may land after it (fsyncgate discipline — see header).
-    return Poison(Status::IOError("WAL append to '" + path_ + "' failed: " +
-                                  std::strerror(errno)));
-  }
-  if (sync) return Sync();
-  return Status::OK();
-}
-
 Status WalWriter::AppendGroup(std::span<const WalRecord> recs, bool sync) {
   if (recs.empty()) return Status::OK();
   if (!poison_.ok()) return poison_;
-  // One encode, one write: the commit marker rides in the same buffer as
-  // the members, so the kernel sees the whole epoch as a single append.
+  // One encode, one write: the closing record rides in the same buffer as
+  // the rest of the epoch, so the kernel sees it as a single append.
   const std::string encoded = EncodeWalGroup(recs);
-  if (fio::FWrite(FaultSite::kWalGroupAppend, encoded.data(), 1,
-                  encoded.size(), file_.get()) != encoded.size()) {
-    return Poison(Status::IOError("WAL group append to '" + path_ +
-                                  "' failed: " + std::strerror(errno)));
+  if (fio::FWrite(FaultSite::kWalAppend, encoded.data(), 1, encoded.size(),
+                  file_.get()) != encoded.size()) {
+    // A short buffered append leaves a torn epoch in the stdio buffer; no
+    // later append may land after it (fsyncgate discipline — see header).
+    return Poison(Status::IOError("WAL append to '" + path_ + "' failed: " +
+                                  std::strerror(errno)));
   }
   if (sync) return Sync();
   return Status::OK();
@@ -122,10 +99,9 @@ StatusOr<WalReadResult> ReadWal(const std::string& path) {
   size_t pos = 0;
   bool have_prev = false;
   uint64_t prev_seq = 0;
-  // Index into result.records where the currently-open group started, or
-  // SIZE_MAX when no group is open. valid_bytes only advances at committed
-  // boundaries (bare records and commit markers), never mid-group.
-  size_t open_group_first = SIZE_MAX;
+  // Index into result.records where the open epoch starts. valid_bytes
+  // only advances past a closing record, never mid-epoch.
+  size_t epoch_first = 0;
   while (pos < data.size()) {
     if (data.size() - pos < kWalRecordBytes) {
       // Torn append: the crash cut the final write short.
@@ -148,13 +124,12 @@ StatusOr<WalReadResult> ReadWal(const std::string& path) {
           std::to_string(pos));
     }
     switch (op) {
-      case kWalDelete:
-      case kWalInsert: {
-        if (open_group_first != SIZE_MAX) {
-          return Status::Corruption(
-              "WAL '" + path + "': bare record at byte " +
-              std::to_string(pos) + " inside an uncommitted group");
-        }
+      case 0:
+      case kWalOpInsert:
+      case kWalOpContinues:
+      case kWalOpContinues | kWalOpInsert: {
+        // A record missing from the middle of an epoch, or an epoch
+        // whose closing record is missing, breaks the chain here.
         if (have_prev && rec.seq != prev_seq + 1) {
           return Status::Corruption("WAL '" + path +
                                     "': sequence gap after seq " +
@@ -162,52 +137,14 @@ StatusOr<WalReadResult> ReadWal(const std::string& path) {
         }
         have_prev = true;
         prev_seq = rec.seq;
-        rec.is_insert = op == kWalInsert;
-        result.segments.push_back({result.records.size(), 1, false});
+        rec.is_insert = (op & kWalOpInsert) != 0;
         result.records.push_back(rec);
-        result.valid_bytes = pos + kWalRecordBytes;
-        break;
-      }
-      case kWalGroupDelete:
-      case kWalGroupInsert: {
-        if (open_group_first == SIZE_MAX) {
-          open_group_first = result.records.size();
+        if ((op & kWalOpContinues) == 0) {
+          result.segments.push_back(
+              {epoch_first, result.records.size() - epoch_first});
+          epoch_first = result.records.size();
+          result.valid_bytes = pos + kWalRecordBytes;
         }
-        if (have_prev && rec.seq != prev_seq + 1) {
-          return Status::Corruption("WAL '" + path +
-                                    "': sequence gap after seq " +
-                                    std::to_string(prev_seq));
-        }
-        have_prev = true;
-        prev_seq = rec.seq;
-        rec.is_insert = op == kWalGroupInsert;
-        result.records.push_back(rec);
-        // valid_bytes deliberately not advanced: a member without its
-        // commit marker is not durable.
-        break;
-      }
-      case kWalGroupCommit: {
-        if (open_group_first == SIZE_MAX) {
-          return Status::Corruption("WAL '" + path +
-                                    "': group commit with no members at byte " +
-                                    std::to_string(pos));
-        }
-        const size_t count = result.records.size() - open_group_first;
-        if (rec.u != count) {
-          return Status::Corruption(
-              "WAL '" + path + "': group commit at byte " +
-              std::to_string(pos) + " claims " + std::to_string(rec.u) +
-              " members, found " + std::to_string(count));
-        }
-        if (rec.seq != prev_seq) {
-          return Status::Corruption(
-              "WAL '" + path + "': group commit at byte " +
-              std::to_string(pos) + " seq " + std::to_string(rec.seq) +
-              " does not match last member seq " + std::to_string(prev_seq));
-        }
-        result.segments.push_back({open_group_first, count, true});
-        open_group_first = SIZE_MAX;
-        result.valid_bytes = pos + kWalRecordBytes;
         break;
       }
       default:
@@ -218,11 +155,11 @@ StatusOr<WalReadResult> ReadWal(const std::string& path) {
     }
     pos += kWalRecordBytes;
   }
-  if (open_group_first != SIZE_MAX) {
-    // Crash inside the group-commit window: the members landed but the
-    // commit marker did not. Drop them — the epoch was never durable —
-    // and recover to the last committed boundary.
-    result.records.resize(open_group_first);
+  if (epoch_first != result.records.size()) {
+    // Crash inside the epoch's write: some of its records landed but the
+    // closing one did not. Drop them — the epoch was never durable — and
+    // recover to the last epoch boundary.
+    result.records.resize(epoch_first);
     result.torn_group = true;
   }
   return result;

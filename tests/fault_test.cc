@@ -1,7 +1,7 @@
 // Syscall fault injection for the durable store (src/io/fault.h).
 //
 // The heart of this file is the randomized fault-schedule harness: for
-// several churn worlds × {unbatched, epoch-batched} ingestion, it first
+// several churn worlds × {one-op, eight-op} epochs, it first
 // records the complete syscall trace of a fault-free run, then replays the
 // identical workload once per recorded syscall hit with that single hit
 // failing (ENOSPC/EIO, or a genuine short write), asserting the trichotomy
@@ -71,6 +71,9 @@ std::string ReadFileBytes(const std::string& path) {
   out << in.rdbuf();
   return out.str();
 }
+
+/// One update as a one-op epoch, the store's form of a single update.
+std::span<const UpdateOp> OneOp(const UpdateOp& op) { return {&op, 1}; }
 
 /// The byte-identity oracle (same as store_test): the engine's complete
 /// serialized state. Equal fingerprints = identical future decisions.
@@ -315,7 +318,7 @@ TEST(WalPoisonTest, FailedFsyncPoisonsSubsequentAppends) {
     rule.site = FaultSite::kWalFsync;
     rule.error = EIO;
     ScopedFaults faults({rule});
-    failed = writer->Append(rec, /*sync=*/true);
+    failed = writer->AppendGroup(std::span(&rec, 1), /*sync=*/true);
     ASSERT_FALSE(failed.ok());
   }
   // The fault is gone — but the writer must NOT report success for any
@@ -323,7 +326,7 @@ TEST(WalPoisonTest, FailedFsyncPoisonsSubsequentAppends) {
   // have dropped the page, and a later "clean" fsync would silently lose
   // the record (the fsyncgate failure mode).
   rec.seq = 2;
-  const Status after = writer->Append(rec, /*sync=*/true);
+  const Status after = writer->AppendGroup(std::span(&rec, 1), /*sync=*/true);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.ToString(), failed.ToString());
   EXPECT_FALSE(writer->Sync().ok());
@@ -332,7 +335,7 @@ TEST(WalPoisonTest, FailedFsyncPoisonsSubsequentAppends) {
   // Reopen is the documented way back: a fresh writer appends cleanly.
   auto reopened = WalWriter::Open(path);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_TRUE(reopened->Append(rec, /*sync=*/true).ok());
+  EXPECT_TRUE(reopened->AppendGroup(std::span(&rec, 1), /*sync=*/true).ok());
   std::remove(path.c_str());
 }
 
@@ -353,10 +356,10 @@ TEST(WalPoisonTest, ShortAppendPoisonsWriter) {
     rule.site = FaultSite::kWalAppend;
     rule.short_bytes = 7;  // 7 of 21 bytes reach the stdio buffer
     ScopedFaults faults({rule});
-    ASSERT_FALSE(writer->Append(rec, /*sync=*/false).ok());
+    ASSERT_FALSE(writer->AppendGroup(std::span(&rec, 1), /*sync=*/false).ok());
   }
   rec.seq = 2;
-  EXPECT_FALSE(writer->Append(rec, /*sync=*/false).ok());
+  EXPECT_FALSE(writer->AppendGroup(std::span(&rec, 1), /*sync=*/false).ok());
 
   // The flush on close writes the torn prefix; the scan must cut it as a
   // torn tail, recovering zero records — never a bogus one.
@@ -384,7 +387,7 @@ TEST(SealedStoreTest, WalFaultSealsRefusesAndReopens) {
 
   // Apply half the stream cleanly; remember the acknowledged fingerprint.
   for (size_t i = 0; i < 15; ++i) {
-    ASSERT_TRUE(store->Apply(world.ops[i]).ok());
+    ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[i])).ok());
   }
   const std::string acked = EngineFingerprint(store->solver());
 
@@ -394,7 +397,7 @@ TEST(SealedStoreTest, WalFaultSealsRefusesAndReopens) {
     rule.error = ENOSPC;
     rule.fail_count = 0;  // sticky: every sync fails until disarm
     ScopedFaults faults({rule});
-    const Status failed = store->Apply(world.ops[15]);
+    const Status failed = store->ApplyBatch(OneOp(world.ops[15]));
     ASSERT_FALSE(failed.ok());
     ASSERT_TRUE(store->sealed());
     EXPECT_EQ(store->seal_status().ToString(), failed.ToString());
@@ -404,7 +407,8 @@ TEST(SealedStoreTest, WalFaultSealsRefusesAndReopens) {
     std::string error;
     EXPECT_TRUE(store->solver().CheckInvariants(&error)) << error;
     // ...and every mutation refuses with the sealing error.
-    EXPECT_EQ(store->Apply(world.ops[16]).ToString(), failed.ToString());
+    EXPECT_EQ(store->ApplyBatch(OneOp(world.ops[16])).ToString(),
+              failed.ToString());
     const std::span<const UpdateOp> tail(world.ops);
     EXPECT_EQ(store->ApplyBatch(tail.subspan(16, 4)).ToString(),
               failed.ToString());
@@ -418,7 +422,7 @@ TEST(SealedStoreTest, WalFaultSealsRefusesAndReopens) {
   EXPECT_EQ(store->applied_seq(), 15u);
   EXPECT_EQ(EngineFingerprint(store->solver()), acked);
   for (size_t i = 15; i < world.ops.size(); ++i) {
-    ASSERT_TRUE(store->Apply(world.ops[i]).ok()) << "op " << i;
+    ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[i])).ok()) << "op " << i;
   }
   EXPECT_EQ(store->applied_seq(), world.ops.size());
   CleanUp(paths);
@@ -455,7 +459,7 @@ TEST(SealedStoreTest, RetryReopenBacksOffExponentiallyOnFakeClock) {
     seal_rule.site = FaultSite::kWalFsync;
     seal_rule.error = ENOSPC;
     ScopedFaults faults({seal_rule});
-    ASSERT_FALSE(store->Apply(world.ops[0]).ok());
+    ASSERT_FALSE(store->ApplyBatch(OneOp(world.ops[0])).ok());
     ASSERT_TRUE(store->sealed());
   }
 
@@ -498,7 +502,7 @@ struct ScheduleResult {
 
 struct HarnessConfig {
   uint64_t seed = 0;
-  size_t epoch = 0;  // 0 = unbatched Apply, else ApplyBatch epochs
+  size_t epoch = 1;  // updates per ApplyBatch epoch
   size_t op_count = 40;
   uint64_t checkpoint_every = 7;
 };
@@ -520,11 +524,9 @@ std::vector<std::string> ReferenceFingerprints(const TestWorld& world,
   auto solver = DynamicSolver::Build(world.graph, TestOptions());
   EXPECT_TRUE(solver.ok()) << solver.status().ToString();
   fps[0] = EngineFingerprint(*solver);
-  // Apply is a one-op epoch, so the unbatched reference is epochs of 1.
   const std::span<const UpdateOp> all(world.ops);
-  const size_t step = std::max<size_t>(config.epoch, 1);
-  for (size_t i = 0; i < config.op_count; i += step) {
-    const size_t len = std::min(step, config.op_count - i);
+  for (size_t i = 0; i < config.op_count; i += config.epoch) {
+    const size_t len = std::min(config.epoch, config.op_count - i);
     const Status s = solver->ApplyBatch(all.subspan(i, len));
     EXPECT_TRUE(s.ok()) << "epoch at op " << i << ": " << s.ToString();
     fps[i + len] = EngineFingerprint(*solver);
@@ -551,12 +553,9 @@ ScheduleResult RunWorkload(const TestWorld& world, const HarnessConfig& config,
   DurableStore& store = **store_out;
 
   const std::span<const UpdateOp> all(world.ops);
-  const size_t step = config.epoch == 0 ? 1 : config.epoch;
-  for (size_t i = 0; i < config.op_count; i += step) {
-    const size_t len = std::min(step, config.op_count - i);
-    const Status status =
-        config.epoch == 0 ? store.Apply(world.ops[i])
-                          : store.ApplyBatch(all.subspan(i, len));
+  for (size_t i = 0; i < config.op_count; i += config.epoch) {
+    const size_t len = std::min(config.epoch, config.op_count - i);
+    const Status status = store.ApplyBatch(all.subspan(i, len));
     if (!status.ok() || store.sealed()) {
       // THE trichotomy: a mid-stream failure on a valid op is only legal
       // as a seal. (A sealed store with an OK status is the auto-
@@ -585,11 +584,11 @@ TEST_P(FaultScheduleTest, TrichotomyAndAckedPrefixIdentity) {
   const uint64_t seed = GetParam();
   size_t schedules = 0, sealed_runs = 0, clean_runs = 0, refused_runs = 0;
 
-  for (const size_t epoch : {size_t{0}, size_t{8}}) {
+  for (const size_t epoch : {size_t{1}, size_t{8}}) {
     HarnessConfig config;
     config.seed = seed;
     config.epoch = epoch;
-    config.checkpoint_every = epoch == 0 ? 7 : 16;
+    config.checkpoint_every = epoch == 1 ? 7 : 16;
     const TestWorld world = MakeWorld(config.op_count, seed);
     const std::vector<std::string> refs = ReferenceFingerprints(world, config);
 
@@ -607,10 +606,12 @@ TEST_P(FaultScheduleTest, TrichotomyAndAckedPrefixIdentity) {
       total_hits = FaultInjector::Instance().hits();
     }
     CleanUp(paths);
-    // Unbatched configs record ~230 hits, batched ~80 (group commit is
-    // the whole point: one fsync per epoch). A collapse below this floor
-    // means the seam fell off the syscall path.
+    // One-op epochs record ~230 hits, eight-op epochs ~80 (one fsync per
+    // epoch). A collapse below this floor means the seam fell off the
+    // syscall path.
     ASSERT_GE(total_hits, 50u) << "seam lost coverage?";
+    RecordProperty("hits_epoch_" + std::to_string(epoch),
+                   static_cast<int>(total_hits));
 
     // One schedule per recorded hit: replay the identical workload with
     // exactly that hit failing. Determinism makes the discovery trace
@@ -670,12 +671,9 @@ TEST_P(FaultScheduleTest, TrichotomyAndAckedPrefixIdentity) {
           // ...and ingest re-arms: completing the stream lands on the
           // never-faulted final state.
           const std::span<const UpdateOp> all(world.ops);
-          const size_t step = config.epoch == 0 ? 1 : config.epoch;
-          for (size_t i = run.acked; i < config.op_count; i += step) {
-            const size_t len = std::min(step, config.op_count - i);
-            const Status resumed =
-                config.epoch == 0 ? store->Apply(world.ops[i])
-                                  : store->ApplyBatch(all.subspan(i, len));
+          for (size_t i = run.acked; i < config.op_count; i += config.epoch) {
+            const size_t len = std::min(config.epoch, config.op_count - i);
+            const Status resumed = store->ApplyBatch(all.subspan(i, len));
             ASSERT_TRUE(resumed.ok())
                 << "hit " << hit << " resume op " << i << ": "
                 << resumed.ToString();

@@ -18,14 +18,17 @@
 #include <string>
 #include <vector>
 
+#include "core/verify.h"
 #include "dynamic/dynamic_solver.h"
 #include "dynamic/workload.h"
+#include "graph/graph_builder.h"
 #include "io/atomic_file.h"
 #include "io/solution_io.h"
 #include "store/crc32.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
 #include "test_util.h"
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace dkc {
@@ -88,7 +91,7 @@ TestWorld MakeWorld(size_t op_count, uint64_t seed) {
 }
 
 /// Reference run that never touches disk: Build + ApplyBatch over
-/// ops[0..count) in epochs of `epoch` updates (1 = what Apply does).
+/// ops[0..count) in epochs of `epoch` updates.
 /// Epoch boundaries are part of the stream, so recovery of a batched store
 /// must be compared against the same `epoch`.
 DynamicSolver ReferenceRun(const TestWorld& world, size_t count,
@@ -103,6 +106,9 @@ DynamicSolver ReferenceRun(const TestWorld& world, size_t count,
   }
   return std::move(solver).value();
 }
+
+/// One update as a one-op epoch, the store's form of a single update.
+std::span<const UpdateOp> OneOp(const UpdateOp& op) { return {&op, 1}; }
 
 /// The WAL records AppendGroup would write for ops[first..first+count).
 std::vector<WalRecord> GroupRecords(const TestWorld& world, size_t first,
@@ -153,6 +159,12 @@ std::vector<WalRecord> MakeRecords(size_t count) {
   return records;
 }
 
+/// One record as a one-op epoch — exactly what a one-update ApplyBatch
+/// appends.
+std::string EncodeOne(const WalRecord& rec) {
+  return EncodeWalGroup(std::span(&rec, 1));
+}
+
 TEST(WalTest, MissingFileReadsEmpty) {
   auto result = ReadWal(TempPath("dkc_wal_never_written.wal"));
   ASSERT_TRUE(result.ok());
@@ -168,21 +180,55 @@ TEST(WalTest, AppendReadRoundTrip) {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
     for (const WalRecord& rec : MakeRecords(5)) {
-      ASSERT_TRUE(writer->Append(rec).ok());
+      ASSERT_TRUE(writer->AppendGroup(std::span(&rec, 1)).ok());
     }
   }
   auto result = ReadWal(path);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->records.size(), 5u);
+  ASSERT_EQ(result->segments.size(), 5u);  // five one-op epochs
   EXPECT_EQ(result->valid_bytes, 5 * kWalRecordBytes);
   EXPECT_FALSE(result->torn_tail);
   const auto expected = MakeRecords(5);
   for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(result->segments[i].first, i);
+    EXPECT_EQ(result->segments[i].count, 1u);
     EXPECT_EQ(result->records[i].seq, expected[i].seq);
     EXPECT_EQ(result->records[i].is_insert, expected[i].is_insert);
     EXPECT_EQ(result->records[i].u, expected[i].u);
     EXPECT_EQ(result->records[i].v, expected[i].v);
   }
+  std::remove(path.c_str());
+}
+
+TEST(WalTest, OneOpEpochMatchesTheBareRecordFormat) {
+  // The bare record the previous format wrote for "insert (0, 1000)" at
+  // seq 1, captured from a WAL that format wrote: op 1, u, v, seq, CRC,
+  // little-endian. A one-op epoch is the same 21 bytes, so such logs
+  // replay unchanged.
+  const std::string golden(
+      "\x01\x00\x00\x00\x00\xe8\x03\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\x77\x29\x98\x55",
+      kWalRecordBytes);
+  WalRecord rec;
+  rec.seq = 1;
+  rec.is_insert = true;
+  rec.u = 0;
+  rec.v = 1000;
+  EXPECT_EQ(EncodeOne(rec), golden);
+
+  const std::string path = TempPath("dkc_wal_golden.wal");
+  WriteFileBytes(path, golden);
+  auto result = ReadWal(path);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->records.size(), 1u);
+  ASSERT_EQ(result->segments.size(), 1u);
+  EXPECT_EQ(result->segments[0].count, 1u);
+  EXPECT_EQ(result->records[0].seq, 1u);
+  EXPECT_TRUE(result->records[0].is_insert);
+  EXPECT_EQ(result->records[0].u, 0u);
+  EXPECT_EQ(result->records[0].v, 1000u);
+  EXPECT_EQ(result->valid_bytes, kWalRecordBytes);
   std::remove(path.c_str());
 }
 
@@ -198,14 +244,17 @@ TEST(WalTest, FailedSyncPoisonsWriterOnFullDevice) {
   auto writer = WalWriter::Open("/dev/full");
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   const auto records = MakeRecords(2);
-  const Status failed = writer->Append(records[0], /*sync=*/true);
+  const Status failed =
+      writer->AppendGroup(std::span(records).first(1), /*sync=*/true);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.code(), Status::Code::kIOError);
   EXPECT_FALSE(writer->poisoned().ok());
   // Poisoned: the next append fails up front with the original error,
   // without touching the file.
-  EXPECT_EQ(writer->Append(records[1], /*sync=*/false).ToString(),
-            failed.ToString());
+  EXPECT_EQ(
+      writer->AppendGroup(std::span(records).last(1), /*sync=*/false)
+          .ToString(),
+      failed.ToString());
   EXPECT_EQ(writer->Sync().ToString(), failed.ToString());
 }
 
@@ -215,9 +264,9 @@ TEST(WalTest, TornTailAtEveryCutPointTruncates) {
   // records before it.
   const auto records = MakeRecords(3);
   std::string intact;
-  intact += EncodeWalRecord(records[0]);
-  intact += EncodeWalRecord(records[1]);
-  const std::string last = EncodeWalRecord(records[2]);
+  intact += EncodeOne(records[0]);
+  intact += EncodeOne(records[1]);
+  const std::string last = EncodeOne(records[2]);
   const std::string path = TempPath("dkc_wal_torn.wal");
   for (size_t cut = 1; cut < kWalRecordBytes; ++cut) {
     WriteFileBytes(path, intact + last.substr(0, cut));
@@ -241,8 +290,7 @@ TEST(WalTest, BitFlipInAnyByteIsCorruption) {
   // A *complete* record that fails its CRC is bit rot, not a torn append
   // — it must surface as Corruption, never replay, never truncate.
   const auto records = MakeRecords(2);
-  const std::string clean =
-      EncodeWalRecord(records[0]) + EncodeWalRecord(records[1]);
+  const std::string clean = EncodeWalGroup(records);
   const std::string path = TempPath("dkc_wal_bitflip.wal");
   for (size_t i = 0; i < clean.size(); ++i) {
     std::string damaged = clean;
@@ -263,7 +311,7 @@ TEST(WalTest, SequenceGapIsCorruption) {
   auto records = MakeRecords(3);
   records[2].seq = 5;  // 1, 2, 5
   std::string bytes;
-  for (const auto& rec : records) bytes += EncodeWalRecord(rec);
+  for (const auto& rec : records) bytes += EncodeOne(rec);
   const std::string path = TempPath("dkc_wal_gap.wal");
   WriteFileBytes(path, bytes);
   auto result = ReadWal(path);
@@ -272,24 +320,32 @@ TEST(WalTest, SequenceGapIsCorruption) {
   std::remove(path.c_str());
 }
 
-// ------------------------------------------------------------ WAL groups ---
+// ------------------------------------------------------------ WAL epochs ---
 
-TEST(WalTest, GroupRoundTripYieldsOneBatchedSegment) {
+TEST(WalTest, EpochRoundTripYieldsOneSegmentPerAppend) {
   const auto records = MakeRecords(6);
   const std::string path = TempPath("dkc_wal_group.wal");
   std::remove(path.c_str());
   {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    // bare, group of 4, bare — mixed traffic in one log.
-    ASSERT_TRUE(writer->Append(records[0]).ok());
-    ASSERT_TRUE(
-        writer->AppendGroup(std::span(records).subspan(1, 4)).ok());
-    ASSERT_TRUE(writer->Append(records[5]).ok());
+    // one-op, four-op, one-op epochs in one log.
+    ASSERT_TRUE(writer->AppendGroup(std::span(records).subspan(0, 1)).ok());
+    ASSERT_TRUE(writer->AppendGroup(std::span(records).subspan(1, 4)).ok());
+    ASSERT_TRUE(writer->AppendGroup(std::span(records).subspan(5, 1)).ok());
+  }
+  const std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(bytes.size(), 6 * kWalRecordBytes);  // no commit marker
+  // Op bytes: every record but an epoch's last carries "continues".
+  const uint8_t expected_ops[6] = {0, 3, 3, 2, 1, 1};
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(static_cast<uint8_t>(bytes[i * kWalRecordBytes]),
+              expected_ops[i])
+        << "record " << i;
   }
   auto result = ReadWal(path);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->records.size(), 6u);  // the commit marker is not a record
+  ASSERT_EQ(result->records.size(), 6u);
   for (size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(result->records[i].seq, records[i].seq);
     EXPECT_EQ(result->records[i].is_insert, records[i].is_insert);
@@ -298,29 +354,27 @@ TEST(WalTest, GroupRoundTripYieldsOneBatchedSegment) {
   }
   ASSERT_EQ(result->segments.size(), 3u);
   EXPECT_EQ(result->segments[0].count, 1u);
-  EXPECT_FALSE(result->segments[0].batched);
   EXPECT_EQ(result->segments[1].first, 1u);
   EXPECT_EQ(result->segments[1].count, 4u);
-  EXPECT_TRUE(result->segments[1].batched);
   EXPECT_EQ(result->segments[2].first, 5u);
-  EXPECT_FALSE(result->segments[2].batched);
+  EXPECT_EQ(result->segments[2].count, 1u);
   EXPECT_FALSE(result->torn_tail);
   EXPECT_FALSE(result->torn_group);
-  // 6 update records + 1 commit marker.
-  EXPECT_EQ(result->valid_bytes, 7 * kWalRecordBytes);
+  EXPECT_EQ(result->valid_bytes, 6 * kWalRecordBytes);
   std::remove(path.c_str());
 }
 
-TEST(WalTest, TornGroupAtEveryCutPointRecoversToEpochBoundary) {
-  // Intact prefix: one bare record + one committed group (an epoch). Then
-  // a crash lands at every possible byte offset inside the next group's
-  // frame — member records and the commit marker alike. Every cut must
-  // recover to the committed boundary: the open group's members are
-  // dropped even when they are individually complete and CRC-clean.
+TEST(WalTest, TornEpochAtEveryCutPointRecoversToEpochBoundary) {
+  // Intact prefix: a one-op epoch and a three-op epoch. Then a crash
+  // lands at every possible byte offset inside the next epoch's records,
+  // the closing one included. Every cut must recover to the epoch
+  // boundary: the open epoch's records are dropped even when they are
+  // individually complete and CRC-clean.
   const auto records = MakeRecords(8);
-  std::string intact = EncodeWalRecord(records[0]);
+  std::string intact = EncodeOne(records[0]);
   intact += EncodeWalGroup(std::span(records).subspan(1, 3));
   const std::string frame = EncodeWalGroup(std::span(records).subspan(4, 4));
+  ASSERT_EQ(frame.size(), 4 * kWalRecordBytes);
   const std::string path = TempPath("dkc_wal_torngroup.wal");
   for (size_t cut = 1; cut < frame.size(); ++cut) {
     WriteFileBytes(path, intact + frame.substr(0, cut));
@@ -331,7 +385,7 @@ TEST(WalTest, TornGroupAtEveryCutPointRecoversToEpochBoundary) {
     ASSERT_EQ(result->records.size(), 4u) << "cut=" << cut;
     ASSERT_EQ(result->segments.size(), 2u) << "cut=" << cut;
     EXPECT_EQ(result->valid_bytes, intact.size()) << "cut=" << cut;
-    // The recovery cut restores a clean, committed log.
+    // The recovery cut restores a clean log of whole epochs.
     ASSERT_TRUE(TruncateWal(path, result->valid_bytes).ok());
     auto again = ReadWal(path);
     ASSERT_TRUE(again.ok());
@@ -339,76 +393,77 @@ TEST(WalTest, TornGroupAtEveryCutPointRecoversToEpochBoundary) {
     EXPECT_FALSE(again->torn_group);
     EXPECT_EQ(again->records.size(), 4u);
   }
-  // The full frame lands: the epoch becomes durable.
+  // The whole epoch lands: it becomes durable.
   WriteFileBytes(path, intact + frame);
   auto result = ReadWal(path);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->records.size(), 8u);
   ASSERT_EQ(result->segments.size(), 3u);
-  EXPECT_TRUE(result->segments[2].batched);
+  EXPECT_EQ(result->segments[2].count, 4u);
   std::remove(path.c_str());
 }
 
-TEST(WalTest, GroupFrameViolationsAreCorruption) {
-  const auto records = MakeRecords(5);
+TEST(WalTest, EpochFramingViolationsAreCorruption) {
+  const auto records = MakeRecords(6);
   const std::string path = TempPath("dkc_wal_groupbad.wal");
-  const std::string group = EncodeWalGroup(std::span(records).first(3));
+  const std::string first = EncodeWalGroup(std::span(records).first(3));
+  const std::string second = EncodeWalGroup(std::span(records).subspan(3, 3));
   const size_t rec_bytes = kWalRecordBytes;
+  const auto expect_corruption = [&](const std::string& bytes) {
+    WriteFileBytes(path, bytes);
+    auto result = ReadWal(path);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), Status::Code::kCorruption)
+        << result.status().ToString();
+  };
 
-  // A bare record interleaved into an open group: members of group [0,3)
-  // followed by a bare record 4 — appends are atomic frames, so this
-  // cannot come from a crash. Corruption.
+  // A record dropped from the middle of an epoch: seqs 1, 3 — a gap.
+  expect_corruption(first.substr(0, rec_bytes) + first.substr(2 * rec_bytes));
+  // An epoch's closing record dropped before the next epoch: seqs 1, 2,
+  // then 4 — a gap, not a merge of the two epochs.
+  expect_corruption(first.substr(0, 2 * rec_bytes) + second);
+  // A bit flip inside a continuing record is caught by its CRC.
   {
-    WalRecord bare = records[3];
-    std::string bytes = group.substr(0, 3 * rec_bytes);  // members only
-    bytes += EncodeWalRecord(bare);
-    WriteFileBytes(path, bytes);
-    auto result = ReadWal(path);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
-  }
-  // A commit marker with no open group.
-  {
-    WalRecord commit;
-    commit.seq = 3;
-    commit.is_insert = false;
-    commit.u = 3;
-    commit.v = 0;
-    // Fabricate the marker by taking the last record of a real frame.
-    std::string marker = group.substr(3 * rec_bytes);
-    WriteFileBytes(path, marker);
-    auto result = ReadWal(path);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
-  }
-  // A commit marker whose member count disagrees: drop one member record
-  // but keep the count-3 marker.
-  {
-    std::string bytes = group.substr(0, 2 * rec_bytes);  // 2 of 3 members
-    bytes += group.substr(3 * rec_bytes);                // count-3 marker
-    WriteFileBytes(path, bytes);
-    auto result = ReadWal(path);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
-  }
-  // A bit flip inside a group member is caught by the member's CRC.
-  {
-    std::string bytes = group;
+    std::string bytes = first;
     bytes[rec_bytes + 5] = static_cast<char>(bytes[rec_bytes + 5] ^ 0x20);
-    WriteFileBytes(path, bytes);
-    auto result = ReadWal(path);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
+    expect_corruption(bytes);
   }
-  // An unknown op byte.
+  // An op byte with a reserved bit set, under a valid CRC.
   {
-    std::string bytes = group;
-    bytes[0] = 9;  // not a WalOp — CRC fails before op interpretation
-    WriteFileBytes(path, bytes);
-    auto result = ReadWal(path);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
+    std::string bytes = first;
+    bytes[0] = static_cast<char>(bytes[0] | 0x08);
+    const uint32_t crc = Crc32(std::string_view(bytes.data(), rec_bytes - 4));
+    for (int i = 0; i < 4; ++i) {
+      bytes[rec_bytes - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+    }
+    expect_corruption(bytes);
   }
+  std::remove(path.c_str());
+}
+
+TEST(WalTest, PreviousFormatGroupFrameIsRefusedUntouched) {
+  // A two-op epoch as the previous format framed it, captured from a WAL
+  // that format wrote: members "i 0 1000" (op 3) and "d 0 1000" (op 2),
+  // then a commit marker (op 4, u = member count, seq = the last
+  // member's). The marker is no record type of this format: the store
+  // refuses the log as Corruption and leaves the file as it was.
+  const std::string legacy(
+      "\x03\x00\x00\x00\x00\xe8\x03\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\xb0\xb9\xa4\x81"
+      "\x02\x00\x00\x00\x00\xe8\x03\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"
+      "\x10\x75\x8d\x88"
+      "\x04\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"
+      "\x6c\xf4\x62\x7f",
+      3 * kWalRecordBytes);
+  const std::string path = TempPath("dkc_wal_legacy_group.wal");
+  WriteFileBytes(path, legacy);
+  auto result = ReadWal(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(result.status().ToString().find("unknown record type 4"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(ReadFileBytes(path), legacy);
   std::remove(path.c_str());
 }
 
@@ -465,6 +520,77 @@ TEST(SnapshotTest, BitFlipAnywhereIsCorruption) {
         << "byte " << i;
   }
   std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, SlotFlagByteCarriesIncompleteAndRefusesTheRest) {
+  // Each solution slot's first state-blob byte is bit 0 = alive, bit 1 =
+  // incomplete (a cut rebuild). Snapshots written before the incomplete
+  // bit existed hold 0/1 and load unchanged; a reserved bit, or
+  // incomplete on a dead slot, is Corruption.
+  // Two triangles, both packed, then the first removed: slot 0 is dead,
+  // slot 1 alive and complete.
+  GraphBuilder builder;
+  for (const NodeId base : {0u, 3u}) {
+    builder.AddEdge(base, base + 1);
+    builder.AddEdge(base, base + 2);
+    builder.AddEdge(base + 1, base + 2);
+  }
+  const Graph g = builder.Build();
+  SolutionState state(DynamicGraph(g), 3, std::vector<Count>(6, 1));
+  const NodeId first[] = {0, 1, 2};
+  const NodeId second[] = {3, 4, 5};
+  const uint32_t removed = state.AddSolutionClique(first);
+  state.AddSolutionClique(second);
+  state.RemoveSolutionClique(removed);
+  std::string graph_bytes, state_bytes;
+  state.SerializeGraphTo(&graph_bytes);
+  state.SerializeStateTo(&state_bytes);
+
+  // Walk the clique table: version, k, n, scores, node_to_clique, count.
+  ByteReader reader(state_bytes);
+  reader.U32();
+  reader.U32();
+  const uint64_t n = reader.U64();
+  for (uint64_t i = 0; i < n; ++i) reader.U64();
+  for (uint64_t i = 0; i < n; ++i) reader.U32();
+  const uint64_t num_slots = reader.U64();
+  std::optional<size_t> alive_at, dead_at;
+  uint32_t alive_slot = 0;
+  for (uint32_t slot = 0; slot < num_slots; ++slot) {
+    const size_t at = state_bytes.size() - reader.remaining();
+    const uint8_t flags = reader.U8();
+    ASSERT_LE(flags, 1u);
+    if (flags == 1 && !alive_at) {
+      alive_at = at;
+      alive_slot = slot;
+    }
+    if (flags == 0 && !dead_at) dead_at = at;
+    reader.U32();
+    const uint32_t nodes = reader.U32();
+    for (uint32_t i = 0; i < nodes; ++i) reader.U32();
+    const uint64_t refs = reader.U64();
+    for (uint64_t i = 0; i < refs; ++i) reader.U64();
+  }
+  ASSERT_FALSE(reader.failed());
+  ASSERT_TRUE(alive_at.has_value());
+  ASSERT_TRUE(dead_at.has_value());
+
+  const auto load = [&](size_t at, uint8_t flags) {
+    std::string bytes = state_bytes;
+    bytes[at] = static_cast<char>(flags);
+    return SolutionState::Deserialize(graph_bytes, bytes);
+  };
+  auto incomplete = load(*alive_at, 3);
+  ASSERT_TRUE(incomplete.ok()) << incomplete.status().ToString();
+  EXPECT_TRUE((*incomplete)->SlotIncomplete(alive_slot));
+  EXPECT_FALSE(state.SlotIncomplete(alive_slot));
+  for (const auto& [at, flags] :
+       {std::pair{*dead_at, uint8_t{2}}, std::pair{*alive_at, uint8_t{5}},
+        std::pair{*dead_at, uint8_t{0x80}}}) {
+    auto refused = load(at, flags);
+    ASSERT_FALSE(refused.ok()) << "flags " << int{flags};
+    EXPECT_EQ(refused.status().code(), Status::Code::kCorruption);
+  }
 }
 
 TEST(SnapshotTest, TruncationAtAnyLengthIsRejected) {
@@ -536,7 +662,7 @@ TEST(StoreTest, CreateApplyReopenIsByteIdentical) {
                              MakeStoreOptions());
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (size_t i = 0; i < 30; ++i) {
-      ASSERT_TRUE(store->Apply(world.ops[i]).ok()) << "op " << i;
+      ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[i])).ok()) << "op " << i;
       ExpectViewMatchesEngine(store->solver());  // Apply publishes too
     }
     EXPECT_EQ(store->applied_seq(), 30u);
@@ -554,7 +680,7 @@ TEST(StoreTest, CreateApplyReopenIsByteIdentical) {
 
   ExpectViewMatchesEngine(reopened->solver());
   for (size_t i = 30; i < world.ops.size(); ++i) {
-    ASSERT_TRUE(reopened->Apply(world.ops[i]).ok()) << "op " << i;
+    ASSERT_TRUE(reopened->ApplyBatch(OneOp(world.ops[i])).ok()) << "op " << i;
     ExpectViewMatchesEngine(reopened->solver());
   }
   DynamicSolver reference = ReferenceRun(world, world.ops.size());
@@ -572,7 +698,9 @@ TEST(StoreTest, AutoCheckpointCompactsWalAndStaysIdentical) {
     auto store = DurableStore::Create(world.graph, paths.snapshot, paths.wal,
                                       MakeStoreOptions(/*checkpoint_every=*/8));
     ASSERT_TRUE(store.ok());
-    for (const auto& op : world.ops) ASSERT_TRUE(store->Apply(op).ok());
+    for (const auto& op : world.ops) {
+      ASSERT_TRUE(store->ApplyBatch(OneOp(op)).ok());
+    }
     EXPECT_EQ(store->checkpoints_taken(), 5u);
     EXPECT_EQ(store->checkpoint_seq(), 40u);
   }
@@ -595,7 +723,9 @@ TEST(StoreTest, KillPointMidWalAppendRecoversTornTail) {
     auto store = DurableStore::Create(world.graph, paths.snapshot, paths.wal,
                                       MakeStoreOptions());
     ASSERT_TRUE(store.ok());
-    for (size_t i = 0; i < 20; ++i) ASSERT_TRUE(store->Apply(world.ops[i]).ok());
+    for (size_t i = 0; i < 20; ++i) {
+      ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[i])).ok());
+    }
   }
   // Crash cut the 21st append short: only 9 of its 21 bytes hit the disk.
   WalRecord torn;
@@ -603,7 +733,7 @@ TEST(StoreTest, KillPointMidWalAppendRecoversTornTail) {
   torn.is_insert = world.ops[20].is_insert;
   torn.u = world.ops[20].edge.first;
   torn.v = world.ops[20].edge.second;
-  AppendFileBytes(paths.wal, EncodeWalRecord(torn).substr(0, 9));
+  AppendFileBytes(paths.wal, EncodeOne(torn).substr(0, 9));
 
   auto reopened =
       DurableStore::Open(paths.snapshot, paths.wal, MakeStoreOptions());
@@ -616,7 +746,7 @@ TEST(StoreTest, KillPointMidWalAppendRecoversTornTail) {
   // The unacknowledged op is simply not there; re-applying it and the rest
   // of the stream converges with the uninterrupted run.
   for (size_t i = 20; i < world.ops.size(); ++i) {
-    ASSERT_TRUE(reopened->Apply(world.ops[i]).ok()) << "op " << i;
+    ASSERT_TRUE(reopened->ApplyBatch(OneOp(world.ops[i])).ok()) << "op " << i;
   }
   EXPECT_EQ(EngineFingerprint(reopened->solver()),
             EngineFingerprint(ReferenceRun(world, world.ops.size())));
@@ -630,7 +760,9 @@ TEST(StoreTest, KillPointMidSnapshotWriteIsInvisible) {
     auto store = DurableStore::Create(world.graph, paths.snapshot, paths.wal,
                                       MakeStoreOptions());
     ASSERT_TRUE(store.ok());
-    for (size_t i = 0; i < 15; ++i) ASSERT_TRUE(store->Apply(world.ops[i]).ok());
+    for (size_t i = 0; i < 15; ++i) {
+      ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[i])).ok());
+    }
   }
   // Crash midway through writing the checkpoint temp file: a garbage
   // prefix sits at the temp path, the published snapshot is untouched.
@@ -653,7 +785,9 @@ TEST(StoreTest, KillPointPreRenameUsesOldSnapshotPlusWal) {
     auto store = DurableStore::Create(world.graph, paths.snapshot, paths.wal,
                                       MakeStoreOptions());
     ASSERT_TRUE(store.ok());
-    for (size_t i = 0; i < 12; ++i) ASSERT_TRUE(store->Apply(world.ops[i]).ok());
+    for (size_t i = 0; i < 12; ++i) {
+      ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[i])).ok());
+    }
     // Crash after the checkpoint's temp snapshot was fully written and
     // fsynced but before the rename: fabricate exactly that state.
     ASSERT_TRUE(WriteSnapshot(store->solver().state(), store->applied_seq(),
@@ -683,7 +817,9 @@ TEST(StoreTest, KillPointBetweenSnapshotPublishAndWalCompaction) {
     auto store = DurableStore::Create(world.graph, paths.snapshot, paths.wal,
                                       MakeStoreOptions());
     ASSERT_TRUE(store.ok());
-    for (size_t i = 0; i < 18; ++i) ASSERT_TRUE(store->Apply(world.ops[i]).ok());
+    for (size_t i = 0; i < 18; ++i) {
+      ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[i])).ok());
+    }
     // A checkpoint's first half completed (snapshot published at seq 18)
     // but the crash hit before WAL compaction: all 18 records remain.
     ASSERT_TRUE(WriteSnapshot(store->solver().state(), store->applied_seq(),
@@ -708,7 +844,9 @@ TEST(StoreTest, BitFlippedSnapshotOrWalIsNeverLoaded) {
     auto store = DurableStore::Create(world.graph, paths.snapshot, paths.wal,
                                       MakeStoreOptions());
     ASSERT_TRUE(store.ok());
-    for (const auto& op : world.ops) ASSERT_TRUE(store->Apply(op).ok());
+    for (const auto& op : world.ops) {
+      ASSERT_TRUE(store->ApplyBatch(OneOp(op)).ok());
+    }
   }
   const std::string snap = ReadFileBytes(paths.snapshot);
   const std::string wal = ReadFileBytes(paths.wal);
@@ -758,12 +896,14 @@ TEST(StoreTest, RejectedUpdatesAreNeverLogged) {
   UpdateOp bad_insert;
   bad_insert.is_insert = true;
   bad_insert.edge = {eu, ev};
-  EXPECT_EQ(store->Apply(bad_insert).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(store->ApplyBatch(OneOp(bad_insert)).code(),
+            Status::Code::kInvalidArgument);
 
   UpdateOp self_loop;
   self_loop.is_insert = true;
   self_loop.edge = {1, 1};
-  EXPECT_EQ(store->Apply(self_loop).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(store->ApplyBatch(OneOp(self_loop)).code(),
+            Status::Code::kInvalidArgument);
 
   UpdateOp bad_delete;
   bad_delete.is_insert = false;
@@ -781,7 +921,8 @@ TEST(StoreTest, RejectedUpdatesAreNeverLogged) {
     }
   }
   bad_delete.edge = {au, av};
-  EXPECT_EQ(store->Apply(bad_delete).code(), Status::Code::kNotFound);
+  EXPECT_EQ(store->ApplyBatch(OneOp(bad_delete)).code(),
+            Status::Code::kNotFound);
 
   EXPECT_EQ(store->applied_seq(), 0u);
   EXPECT_EQ(ReadFileBytes(paths.wal).size(), 0u);
@@ -803,12 +944,13 @@ TEST(StoreTest, OversizedNodeIdIsRefusedBeforeLogging) {
                                       MakeStoreOptions());
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (size_t i = 0; i < 4; ++i) {
-      ASSERT_TRUE(store->Apply(world.ops[i]).ok()) << "op " << i;
+      ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[i])).ok()) << "op " << i;
     }
     const size_t wal_bytes = ReadFileBytes(paths.wal).size();
     const std::string state = EngineFingerprint(store->solver());
 
-    EXPECT_EQ(store->Apply(huge).code(), Status::Code::kInvalidArgument);
+    EXPECT_EQ(store->ApplyBatch(OneOp(huge)).code(),
+              Status::Code::kInvalidArgument);
     EXPECT_FALSE(store->sealed());
     EXPECT_EQ(store->applied_seq(), 4u);
     EXPECT_EQ(ReadFileBytes(paths.wal).size(), wal_bytes);
@@ -837,7 +979,9 @@ TEST(StoreTest, StaleWalFromPreviousStoreIsNotReplayed) {
     auto store = DurableStore::Create(world.graph, paths.snapshot, paths.wal,
                                       MakeStoreOptions());
     ASSERT_TRUE(store.ok());
-    for (const auto& op : world.ops) ASSERT_TRUE(store->Apply(op).ok());
+    for (const auto& op : world.ops) {
+      ASSERT_TRUE(store->ApplyBatch(OneOp(op)).ok());
+    }
   }
   // Re-creating at the same paths must reset the WAL: the fresh store's
   // snapshot is at seq 0 and the old ten records do not belong to it.
@@ -856,7 +1000,7 @@ TEST(StoreTest, StaleWalFromPreviousStoreIsNotReplayed) {
   CleanUp(paths);
 }
 
-// -------------------------------------------------- store, group commit ---
+// ------------------------------------------------- store, batched epochs ---
 
 TEST(StoreTest, BatchedApplyReopenIsByteIdentical) {
   constexpr size_t kEpoch = 8;
@@ -876,10 +1020,10 @@ TEST(StoreTest, BatchedApplyReopenIsByteIdentical) {
       ExpectViewMatchesEngine(store->solver());  // published every epoch
     }
     EXPECT_EQ(store->applied_seq(), 32u);
-    EXPECT_EQ(flushes, 4u);  // one group flush per epoch
+    EXPECT_EQ(flushes, 4u);  // one WAL flush per epoch
   }
 
-  // Recovery replays the four committed groups as four epochs, so it is
+  // Recovery replays the four logged epochs as four epochs, so it is
   // byte-identical to the batched reference.
   auto reopened =
       DurableStore::Open(paths.snapshot, paths.wal, MakeStoreOptions());
@@ -902,9 +1046,9 @@ TEST(StoreTest, BatchedApplyReopenIsByteIdentical) {
 }
 
 TEST(StoreTest, KillPointInsideGroupCommitWindowReplaysWholeEpoch) {
-  // The crash-in-window state: the WAL group (members + commit marker) is
-  // fully flushed, the engine never applied the epoch. Recovery must
-  // replay the whole group — the acknowledged-at-flush epoch survives.
+  // The crash-in-window state: the epoch's WAL records (closing record
+  // included) are fully flushed, the engine never applied the epoch.
+  // Recovery must replay the whole epoch — it survives.
   constexpr size_t kEpoch = 8;
   TestWorld world = MakeWorld(24, 111);
   const StorePaths paths = MakeStorePaths("commit_window");
@@ -932,7 +1076,7 @@ TEST(StoreTest, KillPointInsideGroupCommitWindowReplaysWholeEpoch) {
 }
 
 TEST(StoreTest, KillPointAtEveryGroupFrameCutRecoversToEpochBoundary) {
-  // The other half of the window: the crash cut the group frame itself
+  // The other half of the window: the crash cut the epoch's records
   // short, at *every possible byte offset*. Recovery must land exactly on
   // the previous epoch boundary — never a partial epoch — and re-applying
   // the lost epoch must converge with the uninterrupted batched run.
@@ -973,7 +1117,7 @@ TEST(StoreTest, KillPointAtEveryGroupFrameCutRecoversToEpochBoundary) {
 
 TEST(StoreTest, GroupStraddlingSnapshotBoundaryIsCorruption) {
   // Checkpoints land only at epoch boundaries, so a snapshot seq strictly
-  // inside a committed group cannot come from a crash — refuse to guess.
+  // inside a logged epoch cannot come from a crash — refuse to guess.
   constexpr size_t kEpoch = 4;
   TestWorld world = MakeWorld(8, 113);
   const StorePaths paths = MakeStorePaths("straddle");
@@ -985,7 +1129,7 @@ TEST(StoreTest, GroupStraddlingSnapshotBoundaryIsCorruption) {
     ASSERT_TRUE(store->ApplyBatch(all.subspan(0, kEpoch)).ok());
     ASSERT_TRUE(store->Checkpoint().ok());  // snapshot at seq 4, WAL empty
   }
-  // A fabricated group [3, 6] straddles the snapshot's seq 4.
+  // A fabricated epoch [3, 6] straddles the snapshot's seq 4.
   AppendFileBytes(paths.wal, EncodeWalGroup(GroupRecords(world, 2, 4)));
   auto reopened =
       DurableStore::Open(paths.snapshot, paths.wal, MakeStoreOptions());
@@ -994,10 +1138,10 @@ TEST(StoreTest, GroupStraddlingSnapshotBoundaryIsCorruption) {
   CleanUp(paths);
 }
 
-TEST(StoreTest, MixedBareAndBatchedTrafficReplaysThroughMatchingPaths) {
-  // A log interleaving bare appends and group commits must replay each
-  // segment as the epoch that wrote it (batch boundaries are part of the
-  // stream): a bare record as a one-op epoch, a group as one epoch.
+TEST(StoreTest, MixedEpochSizesReplayAsTheEpochsThatWroteThem) {
+  // A log interleaving one-op and larger epochs must replay each segment
+  // as the epoch that wrote it (batch boundaries are part of the
+  // stream).
   TestWorld world = MakeWorld(20, 114);
   const StorePaths paths = MakeStorePaths("mixed_traffic");
   const std::span<const UpdateOp> all(world.ops);
@@ -1005,9 +1149,9 @@ TEST(StoreTest, MixedBareAndBatchedTrafficReplaysThroughMatchingPaths) {
     auto store = DurableStore::Create(world.graph, paths.snapshot, paths.wal,
                                       MakeStoreOptions());
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store->Apply(world.ops[0]).ok());
+    ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[0])).ok());
     ASSERT_TRUE(store->ApplyBatch(all.subspan(1, 8)).ok());
-    ASSERT_TRUE(store->Apply(world.ops[9]).ok());
+    ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[9])).ok());
     ASSERT_TRUE(store->ApplyBatch(all.subspan(10, 10)).ok());
     EXPECT_EQ(store->applied_seq(), 20u);
   }
@@ -1028,10 +1172,61 @@ TEST(StoreTest, MixedBareAndBatchedTrafficReplaysThroughMatchingPaths) {
   CleanUp(paths);
 }
 
-TEST(StoreTest, RecoveredViewReflectsReplayedBareRecords) {
-  // Apply (bare records) never publishes, so what readers of a recovered
-  // store see comes from Open's publish after the replay — not the
-  // snapshot-time state the solver was restored from.
+TEST(StoreTest, BudgetedStoreCheckpointedMidStreamContinuesIdentically) {
+  // A tight work cap cuts rebuilds, and a cut slot stays flagged
+  // incomplete across epochs until a later delete settles it. That flag
+  // is engine state: a store checkpointed mid-stream and reopened must
+  // carry it, or its later repairs diverge from the uninterrupted run.
+  TestWorld world;
+  world.graph = testing::RandomGraph(60, 0.45, 116);
+  Rng rng(116 * 7919 + 13);
+  world.ops = MakeChurnStream(world.graph, 240, rng);
+  StoreOptions options = MakeStoreOptions();
+  options.dynamic.update_budget.max_branch_nodes = 8;
+  const std::span<const UpdateOp> all(world.ops);
+  constexpr size_t kCheckpointAt = 120;
+
+  for (const size_t epoch : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("epoch=" + std::to_string(epoch));
+    const auto run = [&](const StorePaths& paths, bool reopen_midway) {
+      std::optional<DurableStore> store(
+          DurableStore::Create(world.graph, paths.snapshot, paths.wal,
+                               options)
+              .value());
+      uint64_t cuts = 0;
+      for (size_t i = 0; i < all.size(); i += epoch) {
+        if (reopen_midway && i == kCheckpointAt) {
+          // Snapshot only: the WAL is empty, so the reopened engine is
+          // exactly what the snapshot persisted.
+          EXPECT_TRUE(store->Checkpoint().ok());
+          store.reset();
+          store.emplace(
+              DurableStore::Open(paths.snapshot, paths.wal, options).value());
+        }
+        EXPECT_TRUE(store->ApplyBatch(all.subspan(i, epoch)).ok());
+        cuts += store->solver().last_batch_stats().rebuild_cuts;
+      }
+      const Status valid = VerifySolution(store->solver().graph().ToGraph(),
+                                          store->solver().Snapshot());
+      EXPECT_TRUE(valid.ok()) << valid.ToString();
+      return std::make_pair(EngineFingerprint(store->solver()), cuts);
+    };
+    const StorePaths straight = MakeStorePaths("budget_straight");
+    const StorePaths resumed = MakeStorePaths("budget_resumed");
+    const auto [straight_fp, straight_cuts] = run(straight, false);
+    const auto [resumed_fp, resumed_cuts] = run(resumed, true);
+    // The cap must actually cut, or this test shows nothing.
+    EXPECT_GT(straight_cuts, 0u);
+    EXPECT_EQ(resumed_fp, straight_fp);
+    CleanUp(straight);
+    CleanUp(resumed);
+  }
+}
+
+TEST(StoreTest, RecoveredViewReflectsReplayedOneOpEpochs) {
+  // Replay through the engine never publishes, so what readers of a
+  // recovered store see comes from Open's publish after the replay — not
+  // the snapshot-time state the solver was restored from.
   TestWorld world = MakeWorld(40, 115);
   const StorePaths paths = MakeStorePaths("recovered_view");
   std::string snapshot_time;
@@ -1040,7 +1235,9 @@ TEST(StoreTest, RecoveredViewReflectsReplayedBareRecords) {
                                       MakeStoreOptions());
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     snapshot_time = SolutionToString(store->solver().Snapshot());
-    for (const UpdateOp& op : world.ops) ASSERT_TRUE(store->Apply(op).ok());
+    for (const UpdateOp& op : world.ops) {
+      ASSERT_TRUE(store->ApplyBatch(OneOp(op)).ok());
+    }
   }
   auto reopened =
       DurableStore::Open(paths.snapshot, paths.wal, MakeStoreOptions());
@@ -1077,7 +1274,8 @@ TEST(StoreTest, RetentionRotatesAndPrunesSnapshots) {
   size_t applied = 0;
   auto advance = [&](size_t count) {
     for (size_t i = 0; i < count; ++i, ++applied) {
-      ASSERT_TRUE(store->Apply(world.ops[applied]).ok()) << "op " << applied;
+      ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[applied])).ok())
+          << "op " << applied;
     }
   };
 
@@ -1130,7 +1328,7 @@ TEST(StoreTest, RetainedSnapshotsSurviveReopenAndCreateClearsThem) {
         DurableStore::Create(world.graph, paths.snapshot, paths.wal, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (size_t i = 0; i < 20; ++i) {
-      ASSERT_TRUE(store->Apply(world.ops[i]).ok());
+      ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[i])).ok());
       if ((i + 1) % 5 == 0) {
         ASSERT_TRUE(store->Checkpoint().ok());
       }
@@ -1151,7 +1349,7 @@ TEST(StoreTest, RetainedSnapshotsSurviveReopenAndCreateClearsThem) {
   auto narrowed = DurableStore::Open(paths.snapshot, paths.wal, narrow);
   ASSERT_TRUE(narrowed.ok()) << narrowed.status().ToString();
   for (size_t i = 20; i < 25; ++i) {
-    ASSERT_TRUE(narrowed->Apply(world.ops[i]).ok());
+    ASSERT_TRUE(narrowed->ApplyBatch(OneOp(world.ops[i])).ok());
   }
   ASSERT_TRUE(narrowed->Checkpoint().ok());
   EXPECT_EQ(narrowed->retained_snapshots(), (std::vector<uint64_t>{20}));
@@ -1175,7 +1373,7 @@ TEST(StoreTest, DefaultRetentionKeepsOnlyTheLiveSnapshot) {
                                     MakeStoreOptions());
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   for (size_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(store->Apply(world.ops[i]).ok());
+    ASSERT_TRUE(store->ApplyBatch(OneOp(world.ops[i])).ok());
     if ((i + 1) % 5 == 0) {
       ASSERT_TRUE(store->Checkpoint().ok());
     }

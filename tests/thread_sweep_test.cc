@@ -220,6 +220,11 @@ EpochTrace RunEpochStream(const Graph& initial,
   trace.final_size = solver->solution_size();
   std::string error;
   EXPECT_TRUE(solver->CheckInvariants(&error)) << error;
+  // Budgeted or not, the packing must end valid and maximal: a cut
+  // rebuild may cost growth, never maximality.
+  const Status valid =
+      VerifySolution(solver->graph().ToGraph(), solver->Snapshot());
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
   if (max_branch_nodes == 0) {
     // Only the unbudgeted runs promise a complete index — a budget may cut
     // a rebuild mid-enumeration by design.

@@ -29,15 +29,17 @@
 //       the WAL on exit. --churn regenerates the same deterministic stream
 //       on every invocation, so a recovered process resumes mid-stream;
 //       --crash-after=n injects a kill (_exit) after n applied updates for
-//       recovery drills. --batch=N ingests N updates per WAL group-commit
-//       epoch (one fsync per epoch); --crash-in-commit-window=n kills the
-//       process inside the group-commit window (WAL flushed, engine not
-//       yet applied) at the first epoch reaching seq n; --readers=R runs R
-//       concurrent threads reading the published SolutionView (lock-free
-//       epoch snapshots) while ingest runs; --top=K prints the K
-//       highest-score groups at the end; --keep-snapshots=N retains the
-//       N-1 most recent checkpoint snapshots beside the live one as
-//       "<snapshot>.<seq>" point-in-time rotations.
+//       recovery drills. --batch=N ingests N updates per epoch (one WAL
+//       append and one fsync per epoch); the default --batch=0 is one
+//       update per epoch, the same as --batch=1 (byte-identical WAL);
+//       --crash-in-commit-window=n kills the process inside the commit
+//       window (WAL flushed, engine not yet applied) at the first epoch
+//       reaching seq n; --readers=R runs R concurrent threads reading the
+//       published SolutionView (immutable epoch snapshots) while ingest
+//       runs; --top=K prints the K highest-score groups at the end;
+//       --keep-snapshots=N retains the N-1 most recent checkpoint
+//       snapshots beside the live one as "<snapshot>.<seq>" point-in-time
+//       rotations.
 //
 // All subcommands also accept --ws=n,degree,beta to synthesize a
 // Watts-Strogatz graph instead of --file (handy without datasets), and
@@ -102,7 +104,9 @@ int Usage() {
                "          [--churn=n | --updates-from=path|-]\n"
                "          [--checkpoint-every=n] [--no-sync] "
                "[--crash-after=n] [--no-skip]\n"
-               "          [--batch=N] [--readers=R] [--top=K]\n"
+               "          [--batch=N]  N updates per WAL epoch, one fsync "
+               "each (0 = 1)\n"
+               "          [--readers=R] [--top=K]\n"
                "          [--crash-in-commit-window=n]\n"
                "          [--keep-snapshots=N]  retain N-1 point-in-time "
                "rotations beside the live snapshot\n"
@@ -485,13 +489,13 @@ int RunServe(const dkc::Flags& flags, const dkc::Graph& g) {
   const long crash_in_window =
       static_cast<long>(flags.GetInt("crash-in-commit-window", 0));
   if (crash_in_window > 0) {
-    // Recovery drill for the group-commit window: the WAL group (members +
-    // commit marker) is flushed and fsynced, the engine has NOT applied
-    // the epoch. Recovery must replay the whole group.
+    // Recovery drill for the commit window: the epoch's WAL records are
+    // flushed and fsynced, the engine has NOT applied the epoch. Recovery
+    // must replay the whole epoch.
     options.after_group_flush = [crash_in_window](uint64_t last_seq) {
       if (last_seq >= static_cast<uint64_t>(crash_in_window)) {
         std::fprintf(stderr,
-                     "crash injection inside group-commit window at seq "
+                     "crash injection inside commit window at seq "
                      "%llu\n",
                      static_cast<unsigned long long>(last_seq));
         std::_Exit(7);
@@ -532,8 +536,7 @@ int RunServe(const dkc::Flags& flags, const dkc::Graph& g) {
                 static_cast<unsigned long long>(store->applied_seq()),
                 static_cast<unsigned long long>(store->replayed_records()),
                 store->recovered_torn_tail() ? " (torn tail truncated)" : "",
-                store->recovered_torn_group() ? " (uncommitted group dropped)"
-                                              : "",
+                store->recovered_torn_group() ? " (torn epoch dropped)" : "",
                 store->solver().solution_size());
   } else {
     auto created = dkc::DurableStore::Create(g, snapshot, wal, options);
@@ -594,8 +597,8 @@ int RunServe(const dkc::Flags& flags, const dkc::Graph& g) {
   std::shared_mutex store_mu;
 
   // --readers=R: concurrent threads polling the published SolutionView
-  // while ingest runs — each read is a lock-free atomic load of an
-  // immutable epoch snapshot, never a partially applied epoch.
+  // while ingest runs — each read copies the pointer to an immutable
+  // epoch snapshot, never a partially applied epoch.
   std::atomic<bool> ingest_done{false};
   std::atomic<uint64_t> reader_inconsistent{0};
   std::atomic<uint64_t> reader_epochs_seen{0};
@@ -684,67 +687,39 @@ int RunServe(const dkc::Flags& flags, const dkc::Graph& g) {
   // second seal with no acknowledged progress since the last one means
   // reopen is not fixing anything — give up instead of spinning.
   uint64_t last_seal_seq = UINT64_MAX;
-  if (batch >= 1) {
-    // Epoch-batched ingestion: one WAL group commit (single fsync) per
-    // --batch updates. --crash-after acts at epoch granularity.
-    const size_t n = static_cast<size_t>(batch);
-    const std::span<const dkc::UpdateOp> all(ops);
-    size_t i = static_cast<size_t>(skip);
-    while (i < all.size()) {
-      const size_t len = std::min(n, all.size() - i);
-      const dkc::Status status = store->ApplyBatch(all.subspan(i, len));
-      if (!status.ok()) {
-        if (!store->sealed()) {  // clean refusal (validation) — no retry
-          ingest_error = status;
-          failed_op = i;
-          break;
-        }
-        if (store->applied_seq() == last_seal_seq || !recover()) {
-          ingest_error = store->seal_status();
-          gave_up = true;
-          break;
-        }
-        last_seal_seq = store->applied_seq();
-        i = resume_index();
-        continue;
+  // Epoch-batched ingestion: one WAL append and one fsync per --batch
+  // updates (--batch=0, the default, is one update per epoch, like
+  // --batch=1). --crash-after acts at epoch granularity.
+  const size_t n = static_cast<size_t>(std::max(batch, 1L));
+  const std::span<const dkc::UpdateOp> all(ops);
+  size_t i = static_cast<size_t>(skip);
+  while (i < all.size()) {
+    const size_t len = std::min(n, all.size() - i);
+    const dkc::Status status = store->ApplyBatch(all.subspan(i, len));
+    if (!status.ok()) {
+      if (!store->sealed()) {  // clean refusal (validation) — no retry
+        ingest_error = status;
+        failed_op = i;
+        break;
       }
-      applied += len;
-      if (crash_after > 0 && applied >= static_cast<uint64_t>(crash_after)) {
-        std::fprintf(stderr, "crash injection after %llu updates\n",
-                     static_cast<unsigned long long>(applied));
-        std::_Exit(7);
+      if (store->applied_seq() == last_seal_seq || !recover()) {
+        ingest_error = store->seal_status();
+        gave_up = true;
+        break;
       }
-      i += len;
+      last_seal_seq = store->applied_seq();
+      i = resume_index();
+      continue;
     }
-  } else {
-    size_t i = static_cast<size_t>(skip);
-    while (i < ops.size()) {
-      const dkc::Status status = store->Apply(ops[i]);
-      if (!status.ok()) {
-        if (!store->sealed()) {
-          ingest_error = status;
-          failed_op = i;
-          break;
-        }
-        if (store->applied_seq() == last_seal_seq || !recover()) {
-          ingest_error = store->seal_status();
-          gave_up = true;
-          break;
-        }
-        last_seal_seq = store->applied_seq();
-        i = resume_index();
-        continue;
-      }
-      ++applied;
-      if (crash_after > 0 && applied >= static_cast<uint64_t>(crash_after)) {
-        // Recovery drill: die without flushing or checkpointing. The WAL's
-        // per-append fsync is the only thing allowed to save us.
-        std::fprintf(stderr, "crash injection after %llu updates\n",
-                     static_cast<unsigned long long>(applied));
-        std::_Exit(7);
-      }
-      ++i;
+    applied += len;
+    if (crash_after > 0 && applied >= static_cast<uint64_t>(crash_after)) {
+      // Recovery drill: die without flushing or checkpointing. The WAL's
+      // per-epoch fsync is the only thing allowed to save us.
+      std::fprintf(stderr, "crash injection after %llu updates\n",
+                   static_cast<unsigned long long>(applied));
+      std::_Exit(7);
     }
+    i += len;
   }
   const double total_ms = timer.ElapsedMillis();
   ingest_done.store(true, std::memory_order_release);

@@ -23,6 +23,7 @@
 #include "graph/dag.h"
 #include "graph/ordering.h"
 #include "graph/preprocess.h"
+#include "store/crc32.h"
 #include "store/store.h"
 #include "store/wal.h"
 #include "util/cpu.h"
@@ -385,6 +386,21 @@ void BM_StoreApplyNoSync(benchmark::State& state) {
   std::remove(wal.c_str());
 }
 BENCHMARK(BM_StoreApplyNoSync);
+
+// CRC-32 over a 1 MiB buffer: every snapshot load and checkpoint runs two
+// passes over the whole file, so this throughput bounds recovery. The
+// JSON row's real_time_ns is the time per MiB.
+void BM_Crc32(benchmark::State& state) {
+  std::string buffer(size_t{1} << 20, '\0');
+  dkc::Rng rng(0xC5C);
+  for (char& ch : buffer) ch = static_cast<char>(rng.Next() & 0xFF);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dkc::Crc32(buffer));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buffer.size()));
+}
+BENCHMARK(BM_Crc32);
 
 // --json=path: machine-readable results beside the normal console table —
 // one JSON document with a row per benchmark run, consumed by the CI

@@ -184,6 +184,11 @@ class SolutionState {
   /// byte-identically to the state it was serialized from.
   void SerializeStateTo(std::string* out) const;
 
+  /// Bytes SerializeGraphTo plus SerializeStateTo append, computed without
+  /// encoding (O(n + slots + candidates)), so a writer can size its buffer
+  /// once.
+  size_t SerializedBytes() const;
+
   /// Rebuilds a state from the two blobs. Bounds-checks every read,
   /// cross-validates the derived counters, and runs CheckInvariants;
   /// returns Corruption on any mismatch (the caller has already verified

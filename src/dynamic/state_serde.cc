@@ -93,6 +93,27 @@ void SolutionState::SerializeStateTo(std::string* out) const {
   PutU64(out, node_cand_refs_);
 }
 
+size_t SolutionState::SerializedBytes() const {
+  const size_t n = graph_.num_nodes();
+  const size_t m = graph_.num_edges();
+  // Graph blob: version, n, entry count, n + 1 offsets, 2m neighbors.
+  size_t bytes = 4 + 8 + 8 + 8 * (n + 1) + 4 * 2 * m;
+  // State blob, field by field in SerializeStateTo's order.
+  bytes += 4 + 4 + 8 + 8 * n + 4 * n;  // version, k, n, scores, owners
+  bytes += 8;
+  for (const SolClique& clique : cliques_) {
+    bytes += 1 + 4 + 4 + 4 * clique.nodes.size() + 8 + 8 * clique.cands.size();
+  }
+  bytes += 8 + 4 * clique_free_slots_.size();
+  bytes += 8;
+  for (const Candidate& cand : candidates_) {
+    bytes += 1 + 4 + 4 + 8 + 4 + 4 * cand.nodes.size();
+  }
+  bytes += 8 + 4 * cand_free_slots_.size();
+  for (NodeId u = 0; u < n; ++u) bytes += 8 + 8 * node_cands_[u].size();
+  return bytes + 3 * 8;  // derived counters
+}
+
 StatusOr<std::unique_ptr<SolutionState>> SolutionState::Deserialize(
     std::string_view graph_bytes, std::string_view state_bytes) {
   // --- graph blob: validated CSR -> DynamicGraph ---------------------

@@ -68,10 +68,10 @@ enum class FaultSite : uint8_t {
   kWalAppend,    // AppendGroup fwrite
   kWalFlush,     // Sync fflush
   kWalFsync,     // Sync fsync
-  kWalReadOpen,  // ReadWal stream open (probe)
+  kWalReadOpen,  // ReadWal whole-file read (probe)
   kWalTruncate,  // TruncateWal truncate
   // store/snapshot.cc
-  kSnapshotReadOpen,  // ReadSnapshot stream open (probe)
+  kSnapshotReadOpen,  // ReadSnapshot whole-file read (probe)
   // store/store.cc
   kStoreLink,    // Checkpoint retention hard-link
   kStoreUnlink,  // retained-snapshot prune / stale-rotation removal
@@ -160,8 +160,8 @@ std::FILE* FOpen(FaultSite site, const char* path, const char* mode);
 size_t FWrite(FaultSite site, const void* buf, size_t size, size_t n,
               std::FILE* stream);
 int FFlush(FaultSite site, std::FILE* stream);
-/// For read paths that go through iostreams (no single syscall to wrap):
-/// consulted before the stream opens; a firing rule yields IOError built
+/// For the whole-file reads (io/read_file.h, one open + read loop per
+/// call): consulted before the open; a firing rule yields IOError built
 /// from the rule's errno, as if the open itself had failed.
 Status Probe(FaultSite site, const std::string& what);
 

@@ -1,10 +1,8 @@
 #include "store/snapshot.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "io/atomic_file.h"
 #include "io/fault.h"
+#include "io/read_file.h"
 #include "store/crc32.h"
 #include "util/binio.h"
 
@@ -20,11 +18,25 @@ constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionGraph = 2;
 constexpr uint32_t kSectionState = 3;
 
-void AppendSection(std::string* out, uint32_t id, const std::string& payload) {
-  PutU32(out, id);
-  PutU64(out, payload.size());
-  PutU32(out, Crc32(payload));
-  out->append(payload);
+// Section framing written in place: BeginSection appends the id and a
+// placeholder size + CRC, the caller serializes the payload straight onto
+// the file buffer, and EndSection patches both fields over it.
+constexpr size_t kSectionHeaderBytes = 16;
+
+size_t BeginSection(std::string* file, uint32_t id) {
+  const size_t header = file->size();
+  PutU32(file, id);
+  file->append(12, '\0');  // payload size (u64) + CRC-32 (u32)
+  return header;
+}
+
+void EndSection(std::string* file, size_t header) {
+  const size_t start = header + kSectionHeaderBytes;
+  const std::string_view payload(file->data() + start, file->size() - start);
+  std::string fields;
+  PutU64(&fields, payload.size());
+  PutU32(&fields, Crc32(payload));
+  file->replace(header + 4, fields.size(), fields);
 }
 
 Status Corrupt(const std::string& what, const std::string& path) {
@@ -35,41 +47,40 @@ Status Corrupt(const std::string& what, const std::string& path) {
 
 Status WriteSnapshot(const SolutionState& state, uint64_t applied_seq,
                      const std::string& path) {
-  std::string meta;
-  PutU32(&meta, static_cast<uint32_t>(state.k()));
-  PutU64(&meta, applied_seq);
-  PutU64(&meta, state.graph().num_nodes());
-  PutU64(&meta, state.graph().num_edges());
-
-  std::string graph_blob;
-  state.SerializeGraphTo(&graph_blob);
-  std::string state_blob;
-  state.SerializeStateTo(&state_blob);
-
+  constexpr size_t kMetaBytes = 28;
   std::string file;
-  file.reserve(64 + meta.size() + graph_blob.size() + state_blob.size());
+  file.reserve(sizeof(kMagic) + 8 + 3 * kSectionHeaderBytes + kMetaBytes +
+               state.SerializedBytes() + 4);
   file.append(kMagic, sizeof(kMagic));
   PutU32(&file, kFormatVersion);
   PutU32(&file, 3);  // section count
-  AppendSection(&file, kSectionMeta, meta);
-  AppendSection(&file, kSectionGraph, graph_blob);
-  AppendSection(&file, kSectionState, state_blob);
-  PutU32(&file, Crc32(file));  // whole-file CRC
 
+  size_t header = BeginSection(&file, kSectionMeta);
+  PutU32(&file, static_cast<uint32_t>(state.k()));
+  PutU64(&file, applied_seq);
+  PutU64(&file, state.graph().num_nodes());
+  PutU64(&file, state.graph().num_edges());
+  EndSection(&file, header);
+
+  header = BeginSection(&file, kSectionGraph);
+  state.SerializeGraphTo(&file);
+  EndSection(&file, header);
+
+  header = BeginSection(&file, kSectionState);
+  state.SerializeStateTo(&file);
+  EndSection(&file, header);
+
+  PutU32(&file, Crc32(file));  // whole-file CRC
   return AtomicWriteFile(path, file);
 }
 
 StatusOr<LoadedSnapshot> ReadSnapshot(const std::string& path) {
   DKC_RETURN_IF_ERROR(fio::Probe(FaultSite::kSnapshotReadOpen,
                                  "cannot open snapshot '" + path + "'"));
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open snapshot '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IOError("cannot read snapshot '" + path + "'");
-  const std::string file = buffer.str();
+  StatusOr<std::string> read = ReadWholeFile(path, "snapshot");
+  // A missing snapshot is an I/O failure here, not an empty store.
+  if (!read.ok()) return Status::IOError(read.status().message());
+  const std::string& file = read.value();
 
   if (file.size() < sizeof(kMagic) + 12 ||
       file.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {

@@ -2,12 +2,11 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include <unistd.h>
 
 #include "io/fault.h"
+#include "io/read_file.h"
 #include "store/crc32.h"
 #include "util/binio.h"
 
@@ -89,12 +88,12 @@ StatusOr<WalReadResult> ReadWal(const std::string& path) {
   WalReadResult result;
   DKC_RETURN_IF_ERROR(
       fio::Probe(FaultSite::kWalReadOpen, "cannot open WAL '" + path + "'"));
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return result;  // no WAL yet — empty log
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IOError("cannot read WAL '" + path + "'");
-  const std::string data = buffer.str();
+  StatusOr<std::string> read = ReadWholeFile(path, "WAL");
+  if (read.status().code() == Status::Code::kNotFound) {
+    return result;  // no WAL yet — empty log
+  }
+  if (!read.ok()) return read.status();
+  const std::string& data = read.value();
 
   size_t pos = 0;
   bool have_prev = false;

@@ -140,8 +140,9 @@ struct WalReadResult {
 };
 
 /// Scan `path`. A missing file yields an empty result (a fresh store has
-/// no WAL yet); a torn tail or torn group is reported, a mid-file
-/// corruption returned as Corruption (see header comment).
+/// no WAL yet); one that exists but cannot be read (a directory, no read
+/// permission) is IOError. A torn tail or torn group is reported, a
+/// mid-file corruption returned as Corruption (see header comment).
 StatusOr<WalReadResult> ReadWal(const std::string& path);
 
 /// Truncate `path` to `valid_bytes` — recovery's torn-tail cut.

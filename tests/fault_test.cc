@@ -21,6 +21,7 @@
 #include "io/fault.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
@@ -60,8 +61,10 @@ struct ScopedFaults {
   ~ScopedFaults() { FaultInjector::Instance().Disarm(); }
 };
 
+// The pid prefix keeps concurrent test processes sharing TEST_TMPDIR from
+// clobbering each other's files.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {

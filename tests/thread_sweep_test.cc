@@ -177,11 +177,12 @@ TEST(ThreadSweepTest, OptOutcomesAreByteIdenticalAcrossThreadCounts) {
 // Dynamic engine sweep: the same 10 random update streams the differential
 // harness fuzzes, pushed through ApplyBatch in epochs of 1 (what
 // InsertEdge/DeleteEdge run), 8 and 64, serially and across 1/2/4-thread
-// pools, with and without a per-update work budget. The pool parallelizes
-// the epoch's deduped rebuild fan-out and the packing sort; the budget's
-// max_branch_nodes cap is deterministic by design. So at every thread
-// count the maintained solution must be byte-identical after every epoch,
-// and the per-epoch work/abort traces must match the serial run exactly.
+// pools, with and without a per-update work budget. The pool only runs
+// Build (the initial solve and index build); epoch maintenance is serial,
+// and the budget's max_branch_nodes cap is deterministic by design. So at
+// every thread count the maintained solution must be byte-identical after
+// every epoch, and the per-epoch work/abort traces must match the serial
+// run exactly.
 
 struct EpochTrace {
   std::vector<uint8_t> aborted;        // per epoch

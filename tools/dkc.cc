@@ -753,6 +753,10 @@ int RunServe(const dkc::Flags& flags, const dkc::Graph& g) {
                 static_cast<unsigned long long>(applied), total_ms,
                 1e6 * total_ms / static_cast<double>(applied),
                 static_cast<unsigned long long>(store->checkpoints_taken()));
+  }
+  // A recovered store whose stream is used up still folds the WAL it
+  // replayed into a fresh snapshot, so an empty feed compacts the log.
+  if (applied > 0 || store->replayed_records() > 0) {
     dkc::Status final_checkpoint = store->Checkpoint();
     if (!final_checkpoint.ok() && store->sealed()) {
       // One more degraded cycle: a transient fault at the final checkpoint

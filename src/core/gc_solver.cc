@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "clique/kclique.h"
@@ -78,6 +79,7 @@ StatusOr<SolveResult> SolveGc(const Graph& g, const GcOptions& options) {
       static_cast<int64_t>(clique_score.capacity() * sizeof(Count)) +
       static_cast<int64_t>(order.capacity() * sizeof(CliqueId)) +
       result.set.MemoryBytes();
+  result.node_scores = std::move(node_scores);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "clique/kclique.h"
@@ -196,6 +197,7 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
           static_cast<int64_t>(sizeof(HeapEntry) +
                                options.k * sizeof(NodeId)) +
       result.set.MemoryBytes();
+  result.node_scores = std::move(scores.per_node);
   return result;
 }
 

@@ -93,10 +93,9 @@ StatusOr<SolveResult> Solve(const Graph& g, const SolverOptions& options) {
   preprocess_options.pool = options.pool;
   const PreprocessResult pre = PreprocessForKCliques(g, preprocess_options);
 
-  if (pre.stats.nodes_removed() == 0 && pre.stats.edges_removed() == 0) {
-    // Nothing pruned: solve the input directly (pre.orientation is exactly
-    // the order the solver would compute, so hand it over) and skip the
-    // identity remap.
+  if (pre.unchanged()) {
+    // Nothing peeled: solve the input directly (pre.orientation is exactly
+    // the order the solver would compute, so hand it over).
     auto solved = Dispatch(g, options, &pre.orientation);
     if (!solved.ok()) return solved.status();
     solved->stats.init_ms += pre.stats.elapsed_ms;
@@ -119,6 +118,13 @@ StatusOr<SolveResult> Solve(const Graph& g, const SolverOptions& options) {
     const auto nodes = solved->set.Get(c);
     for (int i = 0; i < options.k; ++i) mapped[i] = pre.new_to_old[nodes[i]];
     result.set.Add(mapped);
+  }
+  // Peeled nodes lie in no k-clique: their score is 0.
+  if (!solved->node_scores.empty()) {
+    result.node_scores.assign(g.num_nodes(), 0);
+    for (NodeId pu = 0; pu < pre.new_to_old.size(); ++pu) {
+      result.node_scores[pre.new_to_old[pu]] = solved->node_scores[pu];
+    }
   }
   return result;
 }

@@ -37,12 +37,12 @@ struct SolverOptions {
   /// ordered reduction or an order-insensitive one).
   ThreadPool* pool = nullptr;
   /// Graph-shrinking preprocessing (graph/preprocess.h): run the solver on
-  /// the (k-1)-core + triangle-support fixpoint of the input and report the
-  /// solution back in original node ids. The pruned graph is oriented by
-  /// the original degeneracy order restricted to the survivors, so every
-  /// method's solution is byte-identical with this on or off — the
-  /// differential harness asserts it. Accounting lands in
-  /// SolveResult::preprocess.
+  /// the input's (k-1)-core and report the solution back in original node
+  /// ids (when the peel removes nothing, the solver runs on the input
+  /// itself). The pruned graph is oriented by the original degeneracy
+  /// order restricted to the survivors, so every method's solution is
+  /// byte-identical with this on or off — the differential harness asserts
+  /// it. Accounting lands in SolveResult::preprocess.
   bool preprocess = true;
   /// With `preprocess`: recompute the degeneracy order on the pruned graph
   /// instead (denser kernels on heavily shrunk inputs). Solutions stay

@@ -4,6 +4,7 @@
 #define DKC_CORE_TYPES_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "clique/clique_store.h"
 #include "graph/graph.h"
@@ -40,6 +41,11 @@ struct SolveResult {
   /// preprocessing pipeline (nodes_before == 0 otherwise). Solution node
   /// ids are always reported in the caller's original id space.
   PreprocessStats preprocess;
+
+  /// s_n(u), the number of k-cliques containing u, for every input node
+  /// when the method ran a full counting pass (GC, L, LP); empty for HG
+  /// and OPT. The dynamic engine seeds from it instead of recounting.
+  std::vector<Count> node_scores;
 
   NodeId size() const { return set.size(); }
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "clique/kclique.h"
 #include "core/verify.h"
@@ -21,13 +23,14 @@ void Accumulate(SwapStats* into, const SwapStats& delta) {
 }
 
 // Shared tail of both Build paths: node scores, state seeding, index build.
-// Returns the state plus the index-build time in ms (Table VII's quantity).
+// `node_scores` are the seed solve's s_n counts when it ran a counting pass;
+// empty ones are recounted here. Returns the state plus the index-build
+// time in ms (Table VII's quantity).
 std::pair<std::unique_ptr<SolutionState>, double> SeedState(
     const Graph& g, const CliqueStore& solution,
-    const DynamicOptions& options) {
+    std::vector<Count> node_scores, const DynamicOptions& options) {
   Timer timer;
-  std::vector<Count> node_scores;
-  {
+  if (node_scores.empty()) {
     Dag dag(g, DegeneracyOrdering(g));
     node_scores = ComputeNodeScores(dag, options.k, options.pool).per_node;
   }
@@ -55,7 +58,8 @@ StatusOr<DynamicSolver> DynamicSolver::Build(const Graph& g,
   DynamicBuildStats stats;
   stats.solve_ms = timer.ElapsedMillis();
 
-  auto [state, index_ms] = SeedState(g, initial->set, options);
+  auto [state, index_ms] =
+      SeedState(g, initial->set, std::move(initial->node_scores), options);
   stats.index_ms = index_ms;
   return DynamicSolver(std::move(state), stats, options);
 }
@@ -73,7 +77,7 @@ StatusOr<DynamicSolver> DynamicSolver::BuildFromSolution(
   DKC_RETURN_IF_ERROR(VerifyMaximality(g, solution));
 
   DynamicBuildStats stats;
-  auto [state, index_ms] = SeedState(g, solution, options);
+  auto [state, index_ms] = SeedState(g, solution, {}, options);
   stats.index_ms = index_ms;
   return DynamicSolver(std::move(state), stats, options);
 }

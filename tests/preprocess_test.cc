@@ -1,7 +1,8 @@
-// Unit tests for the graph-shrinking preprocessing pipeline: peel/support
-// fixpoint behaviour on structured graphs (windmill, tripartite, star),
-// the "everything pruned" / "nothing pruned" edges, remap invariants, and
-// the order-preserving orientation contract.
+// Unit tests for the graph-shrinking preprocessing pipeline: (k-1)-core
+// peel behaviour on structured graphs (windmill, tripartite, star), the
+// "everything pruned" / "nothing pruned" edges, remap invariants, the
+// order-preserving orientation contract, and the dynamic engine seeding
+// from the preprocessed solve's node scores.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "core/solver.h"
+#include "dynamic/dynamic_solver.h"
 #include "gen/generators.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -45,27 +48,51 @@ Graph Tripartite(NodeId size) {
   return b.Build();
 }
 
+// `core` with its node u moved to id 2u and a pendant leaf at id 2u+1:
+// the peel removes exactly the interleaved leaves, so the remap is
+// non-trivial (u -> u/2) while the core survives whole.
+Graph WithPendants(const Graph& core) {
+  GraphBuilder b;
+  for (NodeId u = 0; u < core.num_nodes(); ++u) {
+    b.AddEdge(2 * u, 2 * u + 1);
+    for (NodeId v : core.Neighbors(u)) {
+      if (u < v) b.AddEdge(2 * u, 2 * v);
+    }
+  }
+  return b.Build();
+}
+
 Graph Star(NodeId leaves) {
   GraphBuilder b;
   for (NodeId i = 1; i <= leaves; ++i) b.AddEdge(0, i);
   return b.Build();
 }
 
+// The graph the solver runs on: the input itself when nothing was peeled.
+const Graph& PrunedGraph(const Graph& g, const PreprocessResult& result) {
+  return result.unchanged() ? g : result.pruned;
+}
+
 // Shared sanity pack: stats add up, the maps invert each other, the remap
 // is monotone (order-preserving), and the orientation is a permutation of
-// the pruned graph's nodes.
+// the pruned graph's nodes. An unchanged result copies nothing.
 void CheckInvariants(const Graph& g, const PreprocessResult& result) {
   const PreprocessStats& stats = result.stats;
   EXPECT_EQ(stats.nodes_before, g.num_nodes());
   EXPECT_EQ(stats.edges_before, g.num_edges());
-  EXPECT_EQ(stats.nodes_after, result.pruned.num_nodes());
-  EXPECT_EQ(stats.edges_after, result.pruned.num_edges());
-  EXPECT_EQ(stats.nodes_removed(), stats.peeled_nodes);
-  EXPECT_EQ(stats.edges_removed(),
-            stats.peeled_edges + stats.unsupported_edges);
+  const Graph& pruned = PrunedGraph(g, result);
+  EXPECT_EQ(stats.nodes_after, pruned.num_nodes());
+  EXPECT_EQ(stats.edges_after, pruned.num_edges());
 
-  ASSERT_EQ(result.new_to_old.size(), result.pruned.num_nodes());
-  ASSERT_EQ(result.old_to_new.size(), g.num_nodes());
+  if (result.unchanged()) {
+    EXPECT_EQ(stats.edges_removed(), 0u);
+    EXPECT_EQ(result.pruned.num_nodes(), 0u);
+    EXPECT_TRUE(result.new_to_old.empty());
+    EXPECT_TRUE(result.old_to_new.empty());
+  } else {
+    ASSERT_EQ(result.new_to_old.size(), result.pruned.num_nodes());
+    ASSERT_EQ(result.old_to_new.size(), g.num_nodes());
+  }
   for (NodeId pu = 0; pu < result.new_to_old.size(); ++pu) {
     EXPECT_EQ(result.old_to_new[result.new_to_old[pu]], pu);
     if (pu > 0) {  // ascending == order-preserving
@@ -73,7 +100,7 @@ void CheckInvariants(const Graph& g, const PreprocessResult& result) {
     }
   }
 
-  const NodeId pruned_n = result.pruned.num_nodes();
+  const NodeId pruned_n = pruned.num_nodes();
   ASSERT_EQ(result.orientation.nodes.size(), pruned_n);
   ASSERT_EQ(result.orientation.rank.size(), pruned_n);
   std::vector<uint8_t> seen(pruned_n, 0);
@@ -98,20 +125,18 @@ PreprocessResult RunPipeline(const Graph& g, int k, bool reorder = false) {
 TEST(PreprocessTest, WindmillKeepsEverythingForTriangles) {
   const Graph g = Windmill(5);
   const auto result = RunPipeline(g, 3);
-  // Every node sits in a triangle and every edge supports one: fixpoint in
-  // one (verification) round, nothing pruned.
-  EXPECT_EQ(result.pruned.num_nodes(), g.num_nodes());
-  EXPECT_EQ(result.pruned.num_edges(), g.num_edges());
-  EXPECT_EQ(result.stats.peeled_nodes, 0u);
-  EXPECT_EQ(result.stats.unsupported_edges, 0u);
-  EXPECT_GE(result.stats.rounds, 1);
+  // Every node has degree >= 2 = k-1: nothing is peeled.
+  EXPECT_TRUE(result.unchanged());
+  EXPECT_EQ(result.stats.nodes_after, g.num_nodes());
+  EXPECT_EQ(result.stats.edges_after, g.num_edges());
 }
 
 TEST(PreprocessTest, WindmillFullyPrunedForK4) {
   const Graph g = Windmill(5);
   const auto result = RunPipeline(g, 4);
   // No 4-clique anywhere: blade nodes have degree 2 < 3 and are peeled,
-  // which empties the graph entirely.
+  // which strands the hub and empties the graph entirely.
+  EXPECT_FALSE(result.unchanged());
   EXPECT_EQ(result.pruned.num_nodes(), 0u);
   EXPECT_EQ(result.pruned.num_edges(), 0u);
   EXPECT_EQ(result.stats.nodes_removed(), g.num_nodes());
@@ -119,22 +144,23 @@ TEST(PreprocessTest, WindmillFullyPrunedForK4) {
 }
 
 TEST(PreprocessTest, TripartiteIsCliqueFreeButUnprunable) {
-  // K_{2,2,2} has no 4-clique, yet every node has degree 4 >= 3 and every
-  // edge has support 2 >= 2: the necessary conditions cannot see it. The
-  // pipeline must keep it whole (conservative, never unsound) — catching
-  // over-aggressive pruning rules.
+  // K_{2,2,2} has no 4-clique, yet every node has degree 4 >= 3: the
+  // degree condition cannot see it. The peel must keep it whole
+  // (conservative, never unsound) — catching an over-aggressive rule.
   const Graph g = Tripartite(2);
   ASSERT_TRUE(testing::BruteForceKCliques(g, 4).empty());
   const auto result = RunPipeline(g, 4);
-  EXPECT_EQ(result.pruned.num_nodes(), g.num_nodes());
-  EXPECT_EQ(result.pruned.num_edges(), g.num_edges());
+  EXPECT_TRUE(result.unchanged());
+  EXPECT_EQ(result.stats.nodes_after, g.num_nodes());
+  EXPECT_EQ(result.stats.edges_after, g.num_edges());
 }
 
 TEST(PreprocessTest, TripartiteKeepsTrianglesDropsNothingForK3) {
   const Graph g = Tripartite(3);
   const auto result = RunPipeline(g, 3);
-  EXPECT_EQ(result.pruned.num_nodes(), g.num_nodes());
-  EXPECT_EQ(result.pruned.num_edges(), g.num_edges());
+  EXPECT_TRUE(result.unchanged());
+  EXPECT_EQ(result.stats.nodes_after, g.num_nodes());
+  EXPECT_EQ(result.stats.edges_after, g.num_edges());
 }
 
 TEST(PreprocessTest, StarIsFullyPeeled) {
@@ -142,38 +168,8 @@ TEST(PreprocessTest, StarIsFullyPeeled) {
   const auto result = RunPipeline(g, 3);
   // Leaves have degree 1 < 2; peeling them strands the hub.
   EXPECT_EQ(result.pruned.num_nodes(), 0u);
-  EXPECT_EQ(result.stats.peeled_nodes, g.num_nodes());
-  EXPECT_EQ(result.stats.peeled_edges, g.num_edges());
-  EXPECT_EQ(result.stats.unsupported_edges, 0u);
-}
-
-TEST(PreprocessTest, SupportPruningCascadesIntoASecondPeelRound) {
-  // Two K4s sharing node 6, plus node 7 wired to three clique nodes that
-  // span both cliques: 7 survives the degree peel (degree 3) but all of
-  // its edges have triangle support <= 1 < 2, so the support phase drops
-  // them and the *next* peel round removes the now-isolated node.
-  GraphBuilder b;
-  const NodeId k4a[] = {0, 1, 2, 6};
-  const NodeId k4b[] = {3, 4, 5, 6};
-  for (int i = 0; i < 4; ++i) {
-    for (int j = i + 1; j < 4; ++j) {
-      b.AddEdge(k4a[i], k4a[j]);
-      b.AddEdge(k4b[i], k4b[j]);
-    }
-  }
-  b.AddEdge(7, 0);
-  b.AddEdge(7, 1);
-  b.AddEdge(7, 3);
-  const Graph g = b.Build();
-  const auto result = RunPipeline(g, 4);
-  EXPECT_EQ(result.pruned.num_nodes(), 7u);  // both K4s survive
-  EXPECT_EQ(result.pruned.num_edges(), 12u);
-  EXPECT_EQ(result.stats.peeled_nodes, 1u);
-  EXPECT_EQ(result.stats.unsupported_edges, 3u);
-  EXPECT_GE(result.stats.rounds, 1);
-  // Node 7 is gone; everyone else keeps their (remapped) ids in order.
-  EXPECT_EQ(result.old_to_new[7], kInvalidNode);
-  for (NodeId u = 0; u < 7; ++u) EXPECT_EQ(result.old_to_new[u], u);
+  EXPECT_EQ(result.stats.nodes_removed(), g.num_nodes());
+  EXPECT_EQ(result.stats.edges_removed(), g.num_edges());
 }
 
 TEST(PreprocessTest, PruningNeverRemovesACliqueNodeOrEdge) {
@@ -187,9 +183,11 @@ TEST(PreprocessTest, PruningNeverRemovesACliqueNodeOrEdge) {
       SCOPED_TRACE("k=" + std::to_string(k));
       const auto result = RunPipeline(g, k);
       const auto before = testing::BruteForceKCliques(g, k);
-      auto after = testing::BruteForceKCliques(result.pruned, k);
-      for (auto& clique : after) {
-        for (NodeId& u : clique) u = result.new_to_old[u];
+      auto after = testing::BruteForceKCliques(PrunedGraph(g, result), k);
+      if (!result.unchanged()) {
+        for (auto& clique : after) {
+          for (NodeId& u : clique) u = result.new_to_old[u];
+        }
       }
       EXPECT_EQ(testing::Canonicalize(before), testing::Canonicalize(after));
     }
@@ -197,7 +195,7 @@ TEST(PreprocessTest, PruningNeverRemovesACliqueNodeOrEdge) {
 }
 
 TEST(PreprocessTest, DefaultOrientationRestrictsTheOriginalDegeneracyOrder) {
-  const Graph g = testing::RandomGraph(60, 0.15, 9100);
+  const Graph g = WithPendants(testing::RandomGraph(60, 0.15, 9100));
   const auto result = RunPipeline(g, 4);
   ASSERT_GT(result.pruned.num_nodes(), 0u);
   ASSERT_LT(result.pruned.num_nodes(), g.num_nodes());  // pruning bit
@@ -214,10 +212,10 @@ TEST(PreprocessTest, DefaultOrientationRestrictsTheOriginalDegeneracyOrder) {
 }
 
 TEST(PreprocessTest, ReorderModeRecomputesDegeneracyOnThePrunedGraph) {
-  const Graph g = testing::RandomGraph(60, 0.15, 9100);
+  const Graph g = WithPendants(testing::RandomGraph(60, 0.15, 9100));
   const auto result = RunPipeline(g, 4, /*reorder=*/true);
   EXPECT_TRUE(result.stats.reordered);
-  const Ordering fresh = DegeneracyOrdering(result.pruned);
+  const Ordering fresh = DegeneracyOrdering(PrunedGraph(g, result));
   EXPECT_EQ(result.orientation.nodes, fresh.nodes);
   EXPECT_EQ(result.orientation.rank, fresh.rank);
 }
@@ -225,17 +223,18 @@ TEST(PreprocessTest, ReorderModeRecomputesDegeneracyOnThePrunedGraph) {
 TEST(PreprocessTest, EmptyGraphAndSmallKPassThrough) {
   const Graph empty;
   const auto result = RunPipeline(empty, 4);
-  EXPECT_EQ(result.pruned.num_nodes(), 0u);
-  EXPECT_EQ(result.stats.rounds, 1);
+  EXPECT_TRUE(result.unchanged());
+  EXPECT_EQ(result.stats.nodes_after, 0u);
 
   // k < 3: identity pass-through (no prune rules exist).
   const Graph g = Star(4);
   const auto identity = RunPipeline(g, 2);
-  EXPECT_EQ(identity.pruned.num_nodes(), g.num_nodes());
-  EXPECT_EQ(identity.pruned.num_edges(), g.num_edges());
+  EXPECT_TRUE(identity.unchanged());
+  EXPECT_EQ(identity.stats.nodes_after, g.num_nodes());
+  EXPECT_EQ(identity.stats.edges_after, g.num_edges());
 }
 
-// The partitioned stage-1 peel (per-range peels + buffered cross-range
+// The partitioned peel (per-range peels + buffered cross-range
 // decrements + global cascade) must reach the exact fixpoint of the serial
 // cascade: same pruned CSR, same maps, same orientation, same statistics —
 // the peel is confluent and the accounting is order-independent. Forcing
@@ -262,6 +261,7 @@ TEST(PreprocessTest, ParallelPeelMatchesSerialOnEveryInstance) {
       EXPECT_EQ(parallel.old_to_new, serial.old_to_new);
       EXPECT_EQ(parallel.orientation.nodes, serial.orientation.nodes);
       EXPECT_EQ(parallel.orientation.rank, serial.orientation.rank);
+      EXPECT_EQ(parallel.unchanged(), serial.unchanged());
       ASSERT_EQ(parallel.pruned.num_nodes(), serial.pruned.num_nodes());
       ASSERT_EQ(parallel.pruned.num_edges(), serial.pruned.num_edges());
       for (NodeId u = 0; u < serial.pruned.num_nodes(); ++u) {
@@ -269,11 +269,58 @@ TEST(PreprocessTest, ParallelPeelMatchesSerialOnEveryInstance) {
         const auto b = parallel.pruned.Neighbors(u);
         ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
       }
-      EXPECT_EQ(parallel.stats.peeled_nodes, serial.stats.peeled_nodes);
-      EXPECT_EQ(parallel.stats.peeled_edges, serial.stats.peeled_edges);
-      EXPECT_EQ(parallel.stats.unsupported_edges,
-                serial.stats.unsupported_edges);
-      EXPECT_EQ(parallel.stats.rounds, serial.stats.rounds);
+      EXPECT_EQ(parallel.stats.nodes_after, serial.stats.nodes_after);
+      EXPECT_EQ(parallel.stats.edges_after, serial.stats.edges_after);
+    }
+  }
+}
+
+// DynamicSolver::Build seeds the engine with the node scores its
+// (preprocessed) seed solve counted instead of recounting them; the engine
+// state must be byte-identical to one seeded by BuildFromSolution, which
+// recounts on the full graph. The sparse-social shape (planted cliques in a
+// tree periphery) peels most nodes, so remapped and zero scores are both
+// covered; WS peels nothing.
+TEST(PreprocessTest, BuildReusesSeedScoresByteIdentically) {
+  constexpr int kK = 4;
+  Rng ws_rng(0x5EED);
+  const Graph ws = WattsStrogatz(1500, 12, 0.1, ws_rng).value();
+  PlantedCliqueSpec spec;
+  spec.num_cliques = 60;
+  spec.k = kK;
+  spec.filler_nodes = 3000;
+  Rng planted_rng(0xAB);
+  const Graph sparse = PlantedCliques(spec, planted_rng).value().graph;
+  ThreadPool pool4(4);
+  ThreadPool* pools[] = {nullptr, &pool4};
+  const Method methods[] = {Method::kLP, Method::kGC, Method::kHG};
+  for (const Graph* g : {&ws, &sparse}) {
+    SCOPED_TRACE(g == &ws ? "ws" : "sparse-social");
+    SolverOptions solve_options;
+    solve_options.k = kK;
+    const auto solved = Solve(*g, solve_options);
+    ASSERT_TRUE(solved.ok());
+    EXPECT_EQ(solved->preprocess.nodes_removed() > 0, g == &sparse);
+    for (ThreadPool* pool : pools) {
+      SCOPED_TRACE(pool == nullptr ? "serial" : "pool4");
+      for (Method method : methods) {
+        SCOPED_TRACE(MethodName(method));
+        DynamicOptions options;
+        options.k = kK;
+        options.initial_method = method;
+        options.pool = pool;
+        auto built = DynamicSolver::Build(*g, options);
+        ASSERT_TRUE(built.ok());
+        auto seeded =
+            DynamicSolver::BuildFromSolution(*g, built->Snapshot(), options);
+        ASSERT_TRUE(seeded.ok());
+        std::string built_bytes, seeded_bytes;
+        built->state().SerializeGraphTo(&built_bytes);
+        built->state().SerializeStateTo(&built_bytes);
+        seeded->state().SerializeGraphTo(&seeded_bytes);
+        seeded->state().SerializeStateTo(&seeded_bytes);
+        EXPECT_EQ(built_bytes, seeded_bytes);
+      }
     }
   }
 }

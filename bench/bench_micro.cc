@@ -26,7 +26,6 @@
 #include "store/crc32.h"
 #include "store/store.h"
 #include "store/wal.h"
-#include "util/cpu.h"
 
 namespace {
 
@@ -67,8 +66,7 @@ void BM_IntersectSorted(benchmark::State& state) {
 BENCHMARK(BM_IntersectSorted)->Arg(16)->Arg(256)->Arg(4096);
 
 // Random interleaving — real adjacency rows, unlike the strided inputs
-// above, give the comparison branches no pattern to predict. One shared
-// generator keeps the per-level rows below on byte-identical inputs.
+// above, give the comparison branches no pattern to predict.
 void MakeRandomInterleaved(size_t size, std::vector<dkc::NodeId>* a,
                            std::vector<dkc::NodeId>* b) {
   dkc::Rng rng(0x5EED);
@@ -93,35 +91,6 @@ void BM_IntersectSortedRandom(benchmark::State& state) {
                           static_cast<int64_t>(2 * size));
 }
 BENCHMARK(BM_IntersectSortedRandom)->Arg(16)->Arg(256)->Arg(4096);
-
-// The per-level A/B behind the SIMD dispatch: the same random
-// interleavings under a forced dispatch level, so one run records the
-// scalar-vs-SSE-vs-AVX2 crossover directly. Args are {size, level}
-// (level: 0 = scalar, 1 = SSE4.2, 2 = AVX2); rows above the host's
-// capability are skipped rather than silently downgraded. Sizes below
-// the crossover show the dispatch overhead the inline small-size gates
-// avoid; sizes above show the block-intersection win.
-void BM_IntersectSortedLevel(benchmark::State& state) {
-  const size_t size = static_cast<size_t>(state.range(0));
-  const auto level = static_cast<dkc::SimdLevel>(state.range(1));
-  if (level > dkc::CpuSimdLevel()) {
-    state.SkipWithError("level not supported by this host");
-    return;
-  }
-  std::vector<dkc::NodeId> a, b, out;
-  MakeRandomInterleaved(size, &a, &b);
-  dkc::SetSimdLevelOverride(level);
-  for (auto _ : state) {
-    dkc::IntersectSorted(a, b, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  dkc::ClearSimdLevelOverride();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(2 * size));
-  state.SetLabel(dkc::SimdLevelName(level));
-}
-BENCHMARK(BM_IntersectSortedLevel)
-    ->ArgsProduct({{8, 16, 32, 64, 128, 256, 1024, 4096}, {0, 1, 2}});
 
 void BM_DegeneracyOrdering(benchmark::State& state) {
   dkc::Graph g = MakeWs(static_cast<dkc::NodeId>(state.range(0)), 16);
@@ -221,10 +190,8 @@ BENCHMARK(BM_BasicSolveThreads)->Args({4, 1});
 void BM_Preprocess(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   dkc::Graph g = state.range(1) != 0 ? MakeSparseSocial(k) : MakeWs(2000, 16);
-  dkc::PreprocessOptions options;
-  options.k = k;
   for (auto _ : state) {
-    auto result = dkc::PreprocessForKCliques(g, options);
+    auto result = dkc::PreprocessForKCliques(g, k);
     benchmark::DoNotOptimize(result.stats.nodes_after);
   }
 }
@@ -253,19 +220,15 @@ BENCHMARK(BM_LightweightSolvePrepruned)
     ->Args({4, 1});
 
 // End-to-end k-clique counting on the sparse-social instance; args are
-// {k, preprocess}. Counts are a pure function of the graph (no ordering
-// dependence), so the preprocessed run uses reorder mode and skips the
-// full-graph degeneracy pass the order-preserving mode would need.
+// {k, preprocess}. The preprocessed run pays for the peel, the compaction
+// and the full-graph degeneracy order it restricts to the survivors.
 void BM_CountKCliquesPrepruned(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   dkc::Graph g = MakeSparseSocial(k);
   const bool preprocess = state.range(1) != 0;
-  dkc::PreprocessOptions options;
-  options.k = k;
-  options.reorder = true;
   for (auto _ : state) {
     if (preprocess) {
-      auto pre = dkc::PreprocessForKCliques(g, options);
+      auto pre = dkc::PreprocessForKCliques(g, k);
       dkc::Dag dag(pre.unchanged() ? g : pre.pruned,
                    std::move(pre.orientation));
       benchmark::DoNotOptimize(dkc::CountKCliques(dag, k));

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-// IntersectSorted and the dispatched word-level primitives live in
-// clique/intersect_simd.{h,cc}.
+// IntersectSorted and the word-level primitives live in
+// clique/intersect.{h,cc}.
 
 namespace dkc {
 
@@ -22,11 +22,9 @@ void NeighborhoodKernel::PrepareMap(NodeId num_nodes) {
 }
 
 void NeighborhoodKernel::MaterializeRow(NodeId i, uint64_t* row) {
-  // Two-phase bulk build: compact the epoch-valid local ids first (8-wide
-  // gather/compare/compress under AVX2 dispatch — the stamp check is the
-  // unpredictable branch of the scalar loop), then set the bits from the
-  // compact list. The id set and count are identical at every dispatch
-  // level, so rows and degrees never depend on the host.
+  // Two-phase bulk build: compact the epoch-valid local ids first (the
+  // branch-free gather — the stamp check is data-dependent and would
+  // mispredict as a branch), then set the bits from the compact list.
   const auto nbrs = dag_->OutNeighbors(uni_[i]);
   if (a_->gather_scratch.size() < nbrs.size()) {
     a_->gather_scratch.resize(nbrs.size());
@@ -132,7 +130,7 @@ void NeighborhoodKernel::MaterializeAllRows() {
   } else {
     // Straight from kUnset: one tight fill pass, no per-row bookkeeping —
     // the eager build of kernel v1, with each row's neighbor filter run
-    // through the dispatched bulk gather (see MaterializeRow).
+    // through the bulk gather (see MaterializeRow).
     a_->row_built.assign(words_, ~uint64_t{0});
     a_->deg_bound.resize(s_);
     const uint32_t epoch = a_->epoch;

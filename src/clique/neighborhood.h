@@ -57,13 +57,8 @@
 // sorted local-id lists and runs the classical merge recursion instead —
 // same visit order, same results.
 //
-// SIMD: the word-level inner loops ride the runtime-dispatched primitives
-// in clique/intersect_simd.h — MaterializeRow bulk-filters the epoch-valid
-// neighbors through GatherValidLocalIds (8-wide gather/compare/compress),
-// the multi-word BitRec intersection+count runs through AndPopcountWords /
-// PopcountWords, and MergeRec's IntersectSorted takes the shuffle-based
-// block intersection. Every dispatch level is byte-identical; DKC_PORTABLE
-// builds compile the scalar loops only (see util/cpu.h).
+// The word-level inner loops (row gather, fused AND+popcount, sorted
+// merge) are the scalar primitives of clique/intersect.h.
 //
 // Visitors: the private Visit/BitRec/MergeRec templates drive a visitor
 // with Enter/Exit (branch hooks, Enter may prune), LeafCount (candidate
@@ -85,7 +80,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "clique/intersect_simd.h"
+#include "clique/intersect.h"
 #include "graph/dag.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
@@ -556,9 +551,8 @@ class NeighborhoodKernel {
           row = a_->rows.data() + static_cast<size_t>(i) * words_;
         }
         // cand may alias cand_stack: resolve `next` after RowFor, which
-        // never touches the stack. The fused AND+popcount is dispatched
-        // (AVX2 above 8 words); `next` never overlaps `cand`/`row` — they
-        // are distinct depth slots and the row matrix respectively.
+        // never touches the stack. `next` never overlaps `cand`/`row` —
+        // they are distinct depth slots and the row matrix respectively.
         uint64_t* next =
             a_->cand_stack.data() + static_cast<size_t>(depth + 1) * words_;
         const Count n = AndPopcountWords(cand, row, next, words_);

@@ -87,11 +87,7 @@ StatusOr<SolveResult> Solve(const Graph& g, const SolverOptions& options) {
     // k < 3 falls through so the per-method validation reports the error.
     return Dispatch(g, options, nullptr);
   }
-  PreprocessOptions preprocess_options;
-  preprocess_options.k = options.k;
-  preprocess_options.reorder = options.preprocess_reorder;
-  preprocess_options.pool = options.pool;
-  const PreprocessResult pre = PreprocessForKCliques(g, preprocess_options);
+  const PreprocessResult pre = PreprocessForKCliques(g, options.k);
 
   if (pre.unchanged()) {
     // Nothing peeled: solve the input directly (pre.orientation is exactly

@@ -30,11 +30,11 @@ struct SolverOptions {
   int k = 3;
   Method method = Method::kLP;
   Budget budget;
-  /// Honored by L/LP scoring + heap init, GC/OPT clique enumeration,
-  /// OPT's clique-graph dedup and per-component exact-MIS solves, and the
-  /// preprocessing peel; HG's sweep is serial. Solutions are byte-identical
-  /// at any thread count (each parallel pass ends in a deterministic
-  /// ordered reduction or an order-insensitive one).
+  /// Honored by L/LP scoring + heap init, GC/OPT clique enumeration, and
+  /// OPT's clique-graph dedup and per-component exact-MIS solves; HG's
+  /// sweep and the preprocessing peel are serial. Solutions are
+  /// byte-identical at any thread count (each parallel pass ends in a
+  /// deterministic ordered reduction or an order-insensitive one).
   ThreadPool* pool = nullptr;
   /// Graph-shrinking preprocessing (graph/preprocess.h): run the solver on
   /// the input's (k-1)-core and report the solution back in original node
@@ -44,11 +44,6 @@ struct SolverOptions {
   /// byte-identical with this on or off — the differential harness asserts
   /// it. Accounting lands in SolveResult::preprocess.
   bool preprocess = true;
-  /// With `preprocess`: recompute the degeneracy order on the pruned graph
-  /// instead (denser kernels on heavily shrunk inputs). Solutions stay
-  /// valid maximal disjoint k-clique sets but the byte-identity promise is
-  /// waived.
-  bool preprocess_reorder = false;
   /// Ignored; kept only so bench_e2e/dkc_e2e.cc compiles. Drop it when
   /// bench_e2e next changes.
   int partitions = 0;

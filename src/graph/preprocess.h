@@ -19,16 +19,14 @@
 // k-clique. The pruned graph is the induced subgraph on the survivors and
 // contains *exactly* the k-cliques of the input.
 //
-// Determinism: in the default mode the pruned graph is meant to be oriented
-// by the ORIGINAL graph's degeneracy order restricted to the survivors
-// (`orientation` below). Because the id remap is ascending and every
-// k-clique survives with all its edges, each solver's DFS sees the same
-// surviving branches in the same relative order as on the unpruned graph —
-// removed nodes only ever contributed dead branches — so solutions are
-// byte-identical with preprocessing on or off (the differential harness
-// asserts exactly this for all five methods). The opt-in `reorder` mode
-// recomputes the degeneracy order on the pruned graph instead: denser
-// kernels, still-valid solutions, but no byte-identity promise.
+// Determinism: the pruned graph is oriented by the ORIGINAL graph's
+// degeneracy order restricted to the survivors (`orientation` below).
+// Because the id remap is ascending and every k-clique survives with all
+// its edges, each solver's DFS sees the same surviving branches in the
+// same relative order as on the unpruned graph — removed nodes only ever
+// contributed dead branches — so solutions are byte-identical with
+// preprocessing on or off (the differential harness asserts exactly this
+// for all five methods).
 
 #ifndef DKC_GRAPH_PREPROCESS_H_
 #define DKC_GRAPH_PREPROCESS_H_
@@ -40,25 +38,6 @@
 
 namespace dkc {
 
-class ThreadPool;
-
-struct PreprocessOptions {
-  int k = 3;
-  /// false: orientation = original degeneracy order restricted to survivors
-  /// (solver results byte-identical to no preprocessing). true: recompute
-  /// the degeneracy order on the pruned graph.
-  bool reorder = false;
-  /// When given, the (k-1)-core peel runs as per-range partition peels
-  /// followed by a global cascade to the fixpoint. The peel is a confluent
-  /// chaotic iteration, so the surviving set — and with it every
-  /// downstream artifact and statistic — is identical to the serial
-  /// cascade at any thread count.
-  ThreadPool* pool = nullptr;
-  /// Smallest graph (node count) worth fanning the peel out for; below it
-  /// the serial cascade wins. Tests set 0 to force the parallel path.
-  NodeId parallel_peel_min_nodes = 4096;
-};
-
 /// Accounting, surfaced through SolveResult and the dkc CLI.
 struct PreprocessStats {
   NodeId nodes_before = 0;
@@ -66,7 +45,6 @@ struct PreprocessStats {
   NodeId nodes_after = 0;
   Count edges_after = 0;
   double elapsed_ms = 0.0;
-  bool reordered = false;
 
   NodeId nodes_removed() const { return nodes_before - nodes_after; }
   Count edges_removed() const { return edges_before - edges_after; }
@@ -93,8 +71,7 @@ struct PreprocessResult {
 
 /// Runs the (k-1)-core peel for k-clique workloads (k >= 3; smaller k
 /// removes nothing).
-PreprocessResult PreprocessForKCliques(const Graph& g,
-                                       const PreprocessOptions& options);
+PreprocessResult PreprocessForKCliques(const Graph& g, int k);
 
 }  // namespace dkc
 

@@ -19,7 +19,6 @@
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "test_util.h"
-#include "util/cpu.h"
 #include "util/rng.h"
 
 namespace dkc {
@@ -82,41 +81,6 @@ TEST(DifferentialTest, PruningNeverChangesTheLightweightSolution) {
     ASSERT_TRUE(plain.ok() && pruned.ok());
     EXPECT_EQ(testing::Canonicalize(ToVectors(plain->set)),
               testing::Canonicalize(ToVectors(pruned->set)));
-  }
-}
-
-// The SIMD dispatch level (scalar / SSE4.2 / AVX2 — util/cpu.h) is only
-// allowed to change speed, never output: every solver method must return
-// byte-identical solutions at every level the host supports. This is the
-// end-to-end half of the intersect_simd byte-identity sweep — it exercises
-// the dispatched merge, the fused AND+popcount rows, and the gathered row
-// construction through real traversals instead of synthetic inputs.
-TEST(DifferentialTest, SimdDispatchLevelNeverChangesSolutions) {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (CpuSimdLevel() >= SimdLevel::kSse42) levels.push_back(SimdLevel::kSse42);
-  if (CpuSimdLevel() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
-  for (int case_index = 0; case_index < 16; ++case_index) {
-    SCOPED_TRACE("case_index=" + std::to_string(case_index));
-    const Graph g = testing::RandomGraphMixed(case_index, /*seed=*/7400);
-    SolverOptions options;
-    options.k = 3 + case_index % 3;
-    for (Method method : kHeuristics) {
-      SCOPED_TRACE(MethodName(method));
-      std::vector<std::vector<NodeId>> reference;
-      for (size_t li = 0; li < levels.size(); ++li) {
-        SetSimdLevelOverride(levels[li]);
-        options.method = method;
-        auto result = Solve(g, options);
-        ClearSimdLevelOverride();
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        if (li == 0) {
-          reference = ToVectors(result->set);
-        } else {
-          EXPECT_EQ(ToVectors(result->set), reference)
-              << "level=" << SimdLevelName(levels[li]);
-        }
-      }
-    }
   }
 }
 
@@ -194,36 +158,6 @@ TEST(DifferentialTest, PreprocessingPreservesSolutionsByteForByte) {
   // The sweep must include instances where pruning actually bites, or the
   // byte-identity claim is only ever tested on no-op remaps.
   EXPECT_GE(nontrivially_pruned, 10);
-}
-
-// The opt-in reorder mode waives byte-identity (the pruned graph gets its
-// own degeneracy order) but must still produce valid maximal disjoint
-// k-clique sets, mutually within the Theorem-3 k-approximation band of the
-// preprocess-off run.
-TEST(DifferentialTest, ReorderModeStaysValidAndComparable) {
-  for (int case_index = 0; case_index < 24; ++case_index) {
-    SCOPED_TRACE("case_index=" + std::to_string(case_index));
-    const Graph g = testing::RandomGraphMixed(case_index, /*seed=*/7000);
-    const int k = 3 + case_index % 3;
-    for (Method method : kHeuristics) {
-      SCOPED_TRACE(MethodName(method));
-      SolverOptions options;
-      options.k = k;
-      options.method = method;
-      options.preprocess = false;
-      auto plain = Solve(g, options);
-      options.preprocess = true;
-      options.preprocess_reorder = true;
-      auto reordered = Solve(g, options);
-      ASSERT_TRUE(plain.ok() && reordered.ok());
-      EXPECT_TRUE(reordered->preprocess.reordered);
-      EXPECT_EQ(testing::OracleCheckDisjointCliques(g, reordered->set), "");
-      EXPECT_TRUE(testing::OracleCheckMaximal(g, reordered->set));
-      EXPECT_TRUE(VerifySolution(g, reordered->set).ok());
-      EXPECT_LE(plain->size(), static_cast<NodeId>(k) * reordered->size());
-      EXPECT_LE(reordered->size(), static_cast<NodeId>(k) * plain->size());
-    }
-  }
 }
 
 // Fuzzes the Section-V dynamic engine: random insert/delete streams, with

@@ -504,10 +504,9 @@ TEST(IntersectSkewTest, GallopingMatchesMergeAcrossTheCrossover) {
   }
 }
 
-// Whatever merge dispatch selected for the fallback (the dispatched
-// scalar/SIMD merge — see intersect_simd.h; the per-level sweep lives in
-// intersect_simd_test.cc) must agree with the reference on every overlap
-// pattern, including the n=4096 shape.
+// The fallback's merge (see intersect.h; the exhaustive small-size sweep
+// lives in intersect_test.cc) must agree with the reference on every
+// overlap pattern, including the n=4096 shape.
 TEST(IntersectMergeTest, MergePathsMatchReferenceAcrossOverlapPatterns) {
   Rng rng(2024);
   std::vector<NodeId> got;  // reused across cases: stale contents must die

@@ -113,11 +113,8 @@ void CheckInvariants(const Graph& g, const PreprocessResult& result) {
   }
 }
 
-PreprocessResult RunPipeline(const Graph& g, int k, bool reorder = false) {
-  PreprocessOptions options;
-  options.k = k;
-  options.reorder = reorder;
-  PreprocessResult result = PreprocessForKCliques(g, options);
+PreprocessResult RunPipeline(const Graph& g, int k) {
+  PreprocessResult result = PreprocessForKCliques(g, k);
   CheckInvariants(g, result);
   return result;
 }
@@ -208,16 +205,6 @@ TEST(PreprocessTest, DefaultOrientationRestrictsTheOriginalDegeneracyOrder) {
     }
   }
   EXPECT_EQ(result.orientation.nodes, expected);
-  EXPECT_FALSE(result.stats.reordered);
-}
-
-TEST(PreprocessTest, ReorderModeRecomputesDegeneracyOnThePrunedGraph) {
-  const Graph g = WithPendants(testing::RandomGraph(60, 0.15, 9100));
-  const auto result = RunPipeline(g, 4, /*reorder=*/true);
-  EXPECT_TRUE(result.stats.reordered);
-  const Ordering fresh = DegeneracyOrdering(PrunedGraph(g, result));
-  EXPECT_EQ(result.orientation.nodes, fresh.nodes);
-  EXPECT_EQ(result.orientation.rank, fresh.rank);
 }
 
 TEST(PreprocessTest, EmptyGraphAndSmallKPassThrough) {
@@ -232,47 +219,6 @@ TEST(PreprocessTest, EmptyGraphAndSmallKPassThrough) {
   EXPECT_TRUE(identity.unchanged());
   EXPECT_EQ(identity.stats.nodes_after, g.num_nodes());
   EXPECT_EQ(identity.stats.edges_after, g.num_edges());
-}
-
-// The partitioned peel (per-range peels + buffered cross-range
-// decrements + global cascade) must reach the exact fixpoint of the serial
-// cascade: same pruned CSR, same maps, same orientation, same statistics —
-// the peel is confluent and the accounting is order-independent. Forcing
-// parallel_peel_min_nodes=0 exercises the fan-out even on tiny graphs.
-TEST(PreprocessTest, ParallelPeelMatchesSerialOnEveryInstance) {
-  constexpr int kInstances = 52;
-  ThreadPool pool2(2), pool4(4);
-  ThreadPool* pools[] = {&pool2, &pool4};
-  for (int case_index = 0; case_index < kInstances; ++case_index) {
-    SCOPED_TRACE("case_index=" + std::to_string(case_index));
-    const Graph g = testing::RandomGraphMixed(case_index, /*seed=*/7000);
-    const int k = 3 + case_index % 3;
-    PreprocessOptions options;
-    options.k = k;
-    const PreprocessResult serial = PreprocessForKCliques(g, options);
-    CheckInvariants(g, serial);
-    for (ThreadPool* pool : pools) {
-      SCOPED_TRACE("threads=" + std::to_string(pool->num_threads()));
-      options.pool = pool;
-      options.parallel_peel_min_nodes = 0;
-      const PreprocessResult parallel = PreprocessForKCliques(g, options);
-      CheckInvariants(g, parallel);
-      EXPECT_EQ(parallel.new_to_old, serial.new_to_old);
-      EXPECT_EQ(parallel.old_to_new, serial.old_to_new);
-      EXPECT_EQ(parallel.orientation.nodes, serial.orientation.nodes);
-      EXPECT_EQ(parallel.orientation.rank, serial.orientation.rank);
-      EXPECT_EQ(parallel.unchanged(), serial.unchanged());
-      ASSERT_EQ(parallel.pruned.num_nodes(), serial.pruned.num_nodes());
-      ASSERT_EQ(parallel.pruned.num_edges(), serial.pruned.num_edges());
-      for (NodeId u = 0; u < serial.pruned.num_nodes(); ++u) {
-        const auto a = serial.pruned.Neighbors(u);
-        const auto b = parallel.pruned.Neighbors(u);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
-      }
-      EXPECT_EQ(parallel.stats.nodes_after, serial.stats.nodes_after);
-      EXPECT_EQ(parallel.stats.edges_after, serial.stats.edges_after);
-    }
-  }
 }
 
 // DynamicSolver::Build seeds the engine with the node scores its

@@ -5,12 +5,12 @@
 // within each clique — at every thread count.
 //
 // This is the contract the pool plumbing claims: GC/OPT's ordered
-// enumeration reduction, OPT's per-component exact-MIS solves, L/LP's heap
-// passes and the parallel preprocessing peel must all be deterministic up
-// to the last byte regardless of scheduling. OPT additionally runs under a
-// *branch budget* instead of a wall-clock deadline: whether an instance
-// aborts is then a property of the instance, not of timing, so even the
-// abort outcomes must agree across thread counts.
+// enumeration reduction, OPT's per-component exact-MIS solves and L/LP's
+// heap passes must all be deterministic up to the last byte regardless of
+// scheduling. OPT additionally runs under a *branch budget* instead of a
+// wall-clock deadline: whether an instance aborts is then a property of
+// the instance, not of timing, so even the abort outcomes must agree
+// across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@
 #include "dynamic/workload.h"
 #include "graph/graph.h"
 #include "test_util.h"
-#include "util/cpu.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -85,52 +84,6 @@ TEST(ThreadSweepTest, HeuristicSolutionsAreByteIdenticalAcrossThreadCounts) {
         options.partitions = 0;
       }
       options.pool = nullptr;
-    }
-  }
-}
-
-// Scheduling and SIMD dispatch are independent determinism claims; this
-// crosses them. Reference = serial at forced-scalar dispatch; every
-// (thread count, dispatch level) pair the host supports must reproduce it
-// byte-for-byte. A smaller instance slice than the full sweep — the cross
-// product multiplies the work and the single-axis sweeps above and in
-// differential_test already cover each axis exhaustively.
-TEST(ThreadSweepTest, SolutionsAreByteIdenticalAcrossThreadsAndSimdLevels) {
-  constexpr Method kMethods[] = {Method::kHG, Method::kGC, Method::kL,
-                                 Method::kLP};
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (CpuSimdLevel() >= SimdLevel::kSse42) levels.push_back(SimdLevel::kSse42);
-  if (CpuSimdLevel() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
-  ThreadPool pool2(2), pool4(4);
-  ThreadPool* pools[] = {nullptr, &pool2, &pool4};
-  for (int case_index = 0; case_index < 12; ++case_index) {
-    SCOPED_TRACE("case_index=" + std::to_string(case_index));
-    const Graph g = testing::RandomGraphMixed(case_index, /*seed=*/7000);
-    for (Method method : kMethods) {
-      SCOPED_TRACE(MethodName(method));
-      SolverOptions options;
-      options.k = 3 + case_index % 3;
-      options.method = method;
-      SetSimdLevelOverride(SimdLevel::kScalar);
-      auto reference = Solve(g, options);
-      ClearSimdLevelOverride();
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-      const auto expected = ToVectors(reference->set);
-      for (SimdLevel level : levels) {
-        SCOPED_TRACE(std::string("level=") + SimdLevelName(level));
-        for (ThreadPool* pool : pools) {
-          SCOPED_TRACE("threads=" +
-                       std::to_string(pool == nullptr ? 0
-                                                      : pool->num_threads()));
-          SetSimdLevelOverride(level);
-          options.pool = pool;
-          auto got = Solve(g, options);
-          ClearSimdLevelOverride();
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          EXPECT_EQ(ToVectors(got->set), expected);
-        }
-        options.pool = nullptr;
-      }
     }
   }
 }

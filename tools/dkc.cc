@@ -92,7 +92,7 @@ int Usage() {
                "  --threads=<n>  worker pool for stats/solve/update "
                "(default 1)\n"
                "  solve:  --k=4 --method=HG|GC|L|LP|OPT [--out=path]\n"
-               "          [--no-preprocess] [--preprocess-reorder]\n"
+               "          [--no-preprocess]\n"
                "  verify: --solution=path\n"
                "  cover:  --k=5 --min-k=3 [--pairs]\n"
                "  match:  [--exact]\n"
@@ -176,7 +176,6 @@ int RunSolve(const dkc::Flags& flags, const dkc::Graph& g) {
   options.budget.time_ms = flags.GetDouble("budget-ms", 0);
   options.budget.memory_bytes = flags.GetInt("budget-mb", 0) * (1 << 20);
   options.preprocess = !flags.GetBool("no-preprocess", false);
-  options.preprocess_reorder = flags.GetBool("preprocess-reorder", false);
   const auto pool = MakePool(flags);
   options.pool = pool.get();
   auto result = dkc::Solve(g, options);
@@ -186,10 +185,9 @@ int RunSolve(const dkc::Flags& flags, const dkc::Graph& g) {
   }
   if (options.preprocess) {
     const dkc::PreprocessStats& pre = result->preprocess;
-    std::printf("preprocess%s: %u -> %u nodes, %llu -> %llu edges "
+    std::printf("preprocess: %u -> %u nodes, %llu -> %llu edges "
                 "((k-1)-core peel), %.1f ms\n",
-                pre.reordered ? " (reordered)" : "", pre.nodes_before,
-                pre.nodes_after,
+                pre.nodes_before, pre.nodes_after,
                 static_cast<unsigned long long>(pre.edges_before),
                 static_cast<unsigned long long>(pre.edges_after),
                 pre.elapsed_ms);

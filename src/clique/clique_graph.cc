@@ -1,7 +1,6 @@
 #include "clique/clique_graph.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace dkc {
 
@@ -62,35 +61,21 @@ StatusOr<CliqueGraph> CliqueGraph::Build(const CliqueStore& cliques,
 
   // Cliques sharing >= 2 nodes were emitted multiple times; dedupe. This
   // pass can itself be huge (it touches every pair again), so it honors the
-  // deadline too. Rows are independent, so with a pool they dedupe in
-  // parallel (the parallel path checks the deadline only between rows of
-  // one worker's share; the edge count is summed serially afterwards).
-  auto dedupe_row = [&cg](CliqueId c) {
-    auto& list = cg.adjacency_[c];
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    list.shrink_to_fit();
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && num >= 256) {
-    std::atomic<bool> expired{false};
-    pool->ParallelFor(num, [&](size_t c) {
-      if ((c & 0xFFF) == 0 && deadline.Expired()) {
-        expired.store(true, std::memory_order_relaxed);
-      }
-      if (expired.load(std::memory_order_relaxed)) return;
-      dedupe_row(static_cast<CliqueId>(c));
-    });
-    if (expired.load()) {
-      return Status::TimeBudgetExceeded("clique-graph dedup");
-    }
-  } else {
-    for (CliqueId c = 0; c < num; ++c) {
-      if ((c & 0xFFF) == 0 && deadline.Expired()) {
-        return Status::TimeBudgetExceeded("clique-graph dedup");
-      }
-      dedupe_row(c);
-    }
-  }
+  // deadline too. Rows are independent, so they dedupe in parallel chunks;
+  // the edge count is summed serially afterwards.
+  const bool completed = ParallelChunks(
+      pool, num, deadline, [] { return 0; },
+      [&cg](size_t, CliqueId begin, CliqueId end, int*) {
+        for (CliqueId c = begin; c < end; ++c) {
+          auto& list = cg.adjacency_[c];
+          std::sort(list.begin(), list.end());
+          list.erase(std::unique(list.begin(), list.end()), list.end());
+          list.shrink_to_fit();
+        }
+        return true;
+      },
+      [](int*) {});
+  if (!completed) return Status::TimeBudgetExceeded("clique-graph dedup");
   for (CliqueId c = 0; c < num; ++c) cg.num_edges_ += cg.adjacency_[c].size();
   cg.num_edges_ /= 2;
   return cg;

@@ -1,8 +1,8 @@
 #include "clique/kclique.h"
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 
 namespace dkc {
@@ -30,55 +30,61 @@ Count KCliqueEnumerator::ScoreRooted(NodeId u, std::vector<Count>* counts) {
 
 Count CountKCliques(const Dag& dag, int k, ThreadPool* pool,
                     const Deadline& deadline, bool* oot) {
-  std::atomic<Count> total{0};
+  Count total = 0;
   struct State {
     std::unique_ptr<KernelArena> arena;  // stable address across State moves
     KCliqueEnumerator enumerator;
     Count local = 0;
   };
-  const bool completed = DriveRoots(
-      dag.num_nodes(), pool, deadline,
+  const bool completed = ParallelChunks(
+      pool, dag.num_nodes(), deadline,
       [&] {
         auto arena = std::make_unique<KernelArena>();
         KernelArena* raw = arena.get();
         return State{std::move(arena), KCliqueEnumerator(dag, k, raw), 0};
       },
-      [](NodeId u, State* s) { s->local += s->enumerator.CountRooted(u); },
-      [&](State* s) { total.fetch_add(s->local); });
+      [](size_t, NodeId begin, NodeId end, State* s) {
+        for (NodeId u = begin; u < end; ++u) {
+          s->local += s->enumerator.CountRooted(u);
+        }
+        return true;
+      },
+      [&](State* s) { total += s->local; });
   if (oot != nullptr) *oot = !completed;
-  return total.load();
+  return total;
 }
 
 NodeScores ComputeNodeScores(const Dag& dag, int k, ThreadPool* pool,
                              const Deadline& deadline, bool* oot) {
   NodeScores result;
   result.per_node.assign(dag.num_nodes(), 0);
-  std::atomic<Count> total{0};
   struct State {
     std::unique_ptr<KernelArena> arena;  // stable address across State moves
     KCliqueEnumerator enumerator;
     std::vector<Count> counts;
     Count local_total = 0;
   };
-  const bool completed = DriveRoots(
-      dag.num_nodes(), pool, deadline,
+  const bool completed = ParallelChunks(
+      pool, dag.num_nodes(), deadline,
       [&] {
         auto arena = std::make_unique<KernelArena>();
         KernelArena* raw = arena.get();
         return State{std::move(arena), KCliqueEnumerator(dag, k, raw),
                      std::vector<Count>(dag.num_nodes(), 0), 0};
       },
-      [](NodeId u, State* s) {
-        s->local_total += s->enumerator.ScoreRooted(u, &s->counts);
+      [](size_t, NodeId begin, NodeId end, State* s) {
+        for (NodeId u = begin; u < end; ++u) {
+          s->local_total += s->enumerator.ScoreRooted(u, &s->counts);
+        }
+        return true;
       },
       [&](State* s) {
-        total.fetch_add(s->local_total);
+        result.total_cliques += s->local_total;
         for (NodeId u = 0; u < s->counts.size(); ++u) {
           result.per_node[u] += s->counts[u];
         }
       });
   if (oot != nullptr) *oot = !completed;
-  result.total_cliques = total.load();
   return result;
 }
 
@@ -107,8 +113,8 @@ void ForEachKCliqueInSubset(
 
 namespace {
 
-// Budget cadence shared by the serial and parallel listing paths: charge /
-// check once per this many cliques, and charge that many cliques' storage.
+// Budget cadence of the listing pass: each worker charges / checks once per
+// this many cliques it lists, and charges that many cliques' storage.
 constexpr Count kListCheckPeriod = 0x1000;
 
 int64_t ListChargeBytes(int k) {
@@ -122,107 +128,85 @@ Status ListKCliques(const Dag& dag, int k, ThreadPool* pool,
                     const Deadline& deadline, MemoryBudget* memory,
                     const char* what, CliqueStore* store,
                     std::vector<Count>* node_scores) {
-  const NodeId n = dag.num_nodes();
-  const size_t workers = pool == nullptr ? 0 : pool->num_threads();
   std::atomic<bool> oom{false};
-  std::atomic<bool> oot{false};
-  std::atomic<Count> listed{0};
-  auto drain = [&](std::span<const NodeId> nodes) {
-    store->Add(nodes);
-    if (node_scores != nullptr) {
-      for (NodeId u : nodes) ++(*node_scores)[u];
+  Count listed = 0;
+  // Ordered reduction: each worker lists a whole chunk of roots into its
+  // flat buffer (k node ids per clique); finished chunks are drained into
+  // the store strictly in ascending chunk order, which reproduces the
+  // serial enumeration order exactly. Whoever finishes the next chunk to
+  // drain also drains every already-finished successor, so at one worker
+  // this streams one chunk at a time and at P workers only the chunks
+  // finished ahead of a slow one wait in `parked`.
+  std::mutex drain_mu;
+  size_t next_chunk = 0;
+  std::vector<std::vector<NodeId>> parked;
+  std::vector<uint8_t> finished;
+  auto drain = [&](std::vector<NodeId>* buf) {
+    for (size_t i = 0; i + k <= buf->size(); i += k) {
+      const std::span<const NodeId> nodes(buf->data() + i, k);
+      store->Add(nodes);
+      if (node_scores != nullptr) {
+        for (NodeId u : nodes) ++(*node_scores)[u];
+      }
     }
+    buf->clear();
   };
-  if (workers <= 1 || n < static_cast<NodeId>(2 * workers)) {
-    KernelArena arena;
-    KCliqueEnumerator enumerator(dag, k, &arena);
+  struct State {
+    std::unique_ptr<KernelArena> arena;  // stable address across State moves
+    KCliqueEnumerator enumerator;
+    std::vector<NodeId> buf;
     Count since_check = 0;
-    enumerator.ForEach([&](std::span<const NodeId> nodes) {
-      drain(nodes);
-      if ((++since_check & (kListCheckPeriod - 1)) == 0) {
-        if (memory != nullptr && !memory->Charge(ListChargeBytes(k))) {
-          oom.store(true);
-          return false;
-        }
-        if (deadline.Expired()) {
-          oot.store(true);
-          return false;
-        }
-      }
-      return true;
-    });
-    listed.store(since_check);
-  } else {
-    // Ordered reduction: workers list whole chunks of roots into
-    // chunk-indexed flat buffers (k node ids per clique); the buffers are
-    // drained in ascending chunk order below, reproducing the serial
-    // enumeration order exactly.
-    const NodeId chunk = std::max<NodeId>(
-        1, std::min<NodeId>(512, n / static_cast<NodeId>(workers * 4)));
-    const NodeId num_chunks = (n + chunk - 1) / chunk;
-    std::vector<std::vector<NodeId>> out(num_chunks);
-    std::atomic<NodeId> cursor{0};
-    for (size_t w = 0; w < workers; ++w) {
-      pool->Submit([&] {
-        KernelArena arena;
-        KCliqueEnumerator enumerator(dag, k, &arena);
-        Count since_check = 0;
-        for (;;) {
-          const NodeId c = cursor.fetch_add(1);
-          if (c >= num_chunks || oom.load(std::memory_order_relaxed) ||
-              oot.load(std::memory_order_relaxed)) {
-            break;
+  };
+  const bool completed = ParallelChunks(
+      pool, dag.num_nodes(), deadline,
+      [&] {
+        auto arena = std::make_unique<KernelArena>();
+        KernelArena* raw = arena.get();
+        return State{std::move(arena), KCliqueEnumerator(dag, k, raw), {}, 0};
+      },
+      [&](size_t c, NodeId begin, NodeId end, State* s) {
+        auto list = [&](std::span<const NodeId> nodes) {
+          s->buf.insert(s->buf.end(), nodes.begin(), nodes.end());
+          if ((++s->since_check & (kListCheckPeriod - 1)) != 0) return true;
+          // MemoryBudget is atomic, so concurrent charges keep the OOM
+          // decision sound (if approximately timed).
+          if (memory != nullptr && !memory->Charge(ListChargeBytes(k))) {
+            oom.store(true, std::memory_order_relaxed);
+            return false;
           }
-          if (deadline.Expired()) {
-            oot.store(true, std::memory_order_relaxed);
-            break;
-          }
-          std::vector<NodeId>& buf = out[c];
-          const NodeId end = std::min<NodeId>(n, (c + 1) * chunk);
-          for (NodeId u = c * chunk; u < end; ++u) {
-            enumerator.ForEachRooted(u, [&](std::span<const NodeId> nodes) {
-              buf.insert(buf.end(), nodes.begin(), nodes.end());
-              if ((++since_check & (kListCheckPeriod - 1)) == 0) {
-                // MemoryBudget is atomic, so concurrent charges keep the
-                // OOM decision sound (if approximately timed).
-                if (memory != nullptr && !memory->Charge(ListChargeBytes(k))) {
-                  oom.store(true, std::memory_order_relaxed);
-                  return false;
-                }
-                if (deadline.Expired()) {
-                  oot.store(true, std::memory_order_relaxed);
-                  return false;
-                }
-              }
-              return true;
-            });
-            if (oom.load(std::memory_order_relaxed) ||
-                oot.load(std::memory_order_relaxed)) {
-              break;
-            }
-          }
+          return !deadline.Expired();
+        };
+        for (NodeId u = begin; u < end; ++u) {
+          if (!s->enumerator.ForEachRooted(u, list)) return false;
         }
-        listed.fetch_add(since_check, std::memory_order_relaxed);
-      });
-    }
-    pool->Wait();
-    if (!oom.load() && !oot.load()) {
-      for (std::vector<NodeId>& buf : out) {
-        for (size_t i = 0; i + k <= buf.size(); i += k) {
-          drain(std::span<const NodeId>(buf.data() + i, k));
+        std::lock_guard<std::mutex> lock(drain_mu);
+        if (c != next_chunk) {
+          if (c >= parked.size()) {
+            parked.resize(c + 1);
+            finished.resize(c + 1, 0);
+          }
+          parked[c].swap(s->buf);
+          finished[c] = 1;
+          return true;
         }
-        // Release each chunk as it lands in the store: the budget charges
-        // one copy of the cliques, so don't hold two to the end.
-        std::vector<NodeId>().swap(buf);
-      }
-    }
-  }
+        drain(&s->buf);
+        ++next_chunk;
+        for (; next_chunk < finished.size() && finished[next_chunk];
+             ++next_chunk) {
+          // Release each parked chunk as it lands in the store: the budget
+          // charges one copy of the cliques, so don't hold two.
+          drain(&parked[next_chunk]);
+          std::vector<NodeId>().swap(parked[next_chunk]);
+        }
+        return true;
+      },
+      [&](State* s) { listed += s->since_check; });
   if (oom.load()) {
     return Status::MemoryBudgetExceeded(
-        std::string(what) + " clique store after " +
-        std::to_string(listed.load()) + " cliques");
+        std::string(what) + " clique store after " + std::to_string(listed) +
+        " cliques");
   }
-  if (oot.load()) {
+  if (!completed) {
     return Status::TimeBudgetExceeded(std::string(what) +
                                       " clique enumeration");
   }

@@ -111,14 +111,16 @@ void ForEachKCliqueInSubset(
 
 /// Materialize every k-clique of the DAG'ed graph into `store` — and, when
 /// `node_scores` is given, bump each member's participation count — in the
-/// exact ascending-root DFS order of KCliqueEnumerator::ForEach. With a
-/// pool the roots are listed in parallel into chunk-indexed buffers that
-/// are drained in ascending root order afterwards (a deterministic ordered
-/// reduction), so store contents and clique ids are byte-identical at any
-/// thread count. `memory`, when given, is charged for the stored cliques;
-/// exhaustion returns MemoryBudgetExceeded and an expired deadline returns
-/// TimeBudgetExceeded, both tagged with `what`. The shared enumeration pass
-/// behind GC (Algorithm 2, line 2) and OPT (step 1).
+/// exact ascending-root DFS order of KCliqueEnumerator::ForEach. Chunks of
+/// roots are listed on ParallelChunks (across `pool`'s workers when given)
+/// into per-worker buffers; each finished chunk is drained into the store
+/// as soon as every earlier chunk has been, in ascending chunk order, so
+/// store contents and clique ids are byte-identical at any thread count and
+/// without a pool the listing streams one chunk at a time. `memory`, when
+/// given, is charged for the stored cliques; exhaustion returns
+/// MemoryBudgetExceeded and an expired deadline returns TimeBudgetExceeded,
+/// both tagged with `what`. The shared enumeration pass behind GC
+/// (Algorithm 2, line 2) and OPT (step 1).
 Status ListKCliques(const Dag& dag, int k, ThreadPool* pool,
                     const Deadline& deadline, MemoryBudget* memory,
                     const char* what, CliqueStore* store,

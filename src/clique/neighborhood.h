@@ -31,10 +31,11 @@
 //     candidate stacks, visitor scratch) live in one flat arena object
 //     that persists across roots, so per-root cost is proportional to the
 //     neighborhood actually touched, never to allocation. A kernel owns a
-//     private arena by default; workers that drive many roots (DriveRoots
-//     states, the dynamic engine's per-update subset enumeration) hold one
-//     arena per worker and lend it to their kernels. An arena must not be
-//     lent to two kernels that are mid-traversal at the same time.
+//     private arena by default; workers that drive many roots (the
+//     ParallelChunks states of util/thread_pool.h, the dynamic engine's
+//     per-update subset enumeration) hold one arena per worker and lend it
+//     to their kernels. An arena must not be lent to two kernels that are
+//     mid-traversal at the same time.
 //
 // The common case — DAG out-degrees are degeneracy-bounded, so per-root
 // universes almost always fit one machine word — runs a specialized
@@ -71,11 +72,9 @@
 #define DKC_CLIQUE_NEIGHBORHOOD_H_
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -84,8 +83,6 @@
 #include "graph/dag.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace dkc {
 
@@ -619,57 +616,6 @@ class NeighborhoodKernel {
   NodeId words_ = 0;
   NodeId rows_built_ = 0;
 };
-
-/// Shared parallel driver for per-root passes: iterate roots 0..n-1,
-/// optionally chunked across a pool, with uniform deadline checks.
-/// `make_state` builds one worker-private state (e.g. a kernel plus local
-/// accumulators), `per_root(u, &state)` must be callable concurrently on
-/// distinct states, and `merge(&state)` runs under a lock (or inline when
-/// serial). Merge order is unspecified — use this driver only for
-/// commutative or order-insensitive reductions (sums, per-node score adds,
-/// heap fills keyed by a unique total order); order-sensitive passes build
-/// their own chunk-indexed reduction (see ListKCliques). Returns false iff
-/// the deadline expired before completion.
-template <typename MakeState, typename PerRoot, typename Merge>
-bool DriveRoots(NodeId n, ThreadPool* pool, const Deadline& deadline,
-                MakeState make_state, PerRoot per_root, Merge merge) {
-  const size_t workers = pool == nullptr ? 0 : pool->num_threads();
-  if (workers <= 1 || n < static_cast<NodeId>(2 * workers)) {
-    auto state = make_state();
-    for (NodeId u = 0; u < n; ++u) {
-      if ((u & 0xFF) == 0 && deadline.Expired()) return false;
-      per_root(u, &state);
-    }
-    merge(&state);
-    return true;
-  }
-  std::atomic<NodeId> cursor{0};
-  std::atomic<bool> expired{false};
-  std::mutex merge_mu;
-  // Chunks shrink with n so small graphs still interleave across workers
-  // (clique workloads are skewed; dynamic scheduling smooths them out).
-  const NodeId chunk = std::max<NodeId>(
-      1, std::min<NodeId>(256, n / static_cast<NodeId>(workers * 4)));
-  for (size_t w = 0; w < workers; ++w) {
-    pool->Submit([&] {
-      auto state = make_state();
-      for (;;) {
-        const NodeId begin = cursor.fetch_add(chunk);
-        if (begin >= n || expired.load(std::memory_order_relaxed)) break;
-        if (deadline.Expired()) {
-          expired.store(true, std::memory_order_relaxed);
-          break;
-        }
-        const NodeId end = std::min<NodeId>(n, begin + chunk);
-        for (NodeId u = begin; u < end; ++u) per_root(u, &state);
-      }
-      std::lock_guard<std::mutex> lock(merge_mu);
-      merge(&state);
-    });
-  }
-  pool->Wait();
-  return !expired.load();
-}
 
 }  // namespace dkc
 

@@ -26,8 +26,9 @@ StatusOr<SolveResult> SolveGc(const Graph& g, const GcOptions& options) {
   SolveResult result(options.k);
 
   // Line 2: store all k-cliques and compute node scores. One enumeration
-  // pass fills both (pool-parallel with a deterministic ordered reduction);
-  // the store is the memory hazard the budget guards.
+  // pass fills both (chunks of roots on the pool via ParallelChunks, drained
+  // in ascending chunk order); the store is the memory hazard the budget
+  // guards.
   Dag dag(g, options.orientation != nullptr ? *options.orientation
                                             : DegeneracyOrdering(g));
   CliqueStore all(options.k);

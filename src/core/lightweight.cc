@@ -11,6 +11,7 @@
 #include "core/clique_score.h"
 #include "graph/dag.h"
 #include "graph/ordering.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace dkc {
@@ -109,22 +110,22 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
   std::vector<uint8_t> valid(g.num_nodes(), 1);
 
   // Lines 5-6, HeapInit: one local-minimum clique per root, in parallel via
-  // the shared root driver (uniform pool scheduling + deadline checks).
+  // ParallelChunks (uniform pool scheduling + deadline checks).
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCompare> heap;
   {
     std::vector<HeapEntry> initial;
     struct State {
       // Heap-owned arena: its address is stable across State moves, so the
-      // finder's kernel can borrow it (one arena per DriveRoots worker,
-      // reused across every root the worker drives).
+      // finder's kernel can borrow it (one arena per worker, reused across
+      // every root the worker drives).
       std::unique_ptr<KernelArena> arena;
       MinCliqueFinder finder;
       std::vector<NodeId> clique;
       Count clique_score = 0;
       std::vector<HeapEntry> found;
     };
-    const bool completed = DriveRoots(
-        g.num_nodes(), options.pool, deadline,
+    const bool completed = ParallelChunks(
+        options.pool, g.num_nodes(), deadline,
         [&] {
           auto arena = std::make_unique<KernelArena>();
           KernelArena* raw = arena.get();
@@ -135,12 +136,15 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
                        0,
                        {}};
         },
-        [&](NodeId u, State* s) {
-          if (dag.OutDegree(u) + 1 < static_cast<Count>(options.k)) return;
-          if (s->finder.FindRooted(u, &s->clique, &s->clique_score)) {
-            s->found.push_back(HeapEntry{s->clique_score,
-                                         dag.ordering().rank[u], s->clique});
+        [&](size_t, NodeId begin, NodeId end, State* s) {
+          for (NodeId u = begin; u < end; ++u) {
+            if (dag.OutDegree(u) + 1 < static_cast<Count>(options.k)) continue;
+            if (s->finder.FindRooted(u, &s->clique, &s->clique_score)) {
+              s->found.push_back(HeapEntry{
+                  s->clique_score, dag.ordering().rank[u], s->clique});
+            }
           }
+          return true;
         },
         [&](State* s) {
           for (auto& e : s->found) initial.push_back(std::move(e));

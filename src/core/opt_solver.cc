@@ -24,8 +24,9 @@ StatusOr<SolveResult> SolveOpt(const Graph& g, const OptOptions& options) {
   Timer timer;
   SolveResult result(options.k);
 
-  // Step 1: all k-cliques, materialized (pool-parallel with a deterministic
-  // ordered reduction, so clique ids match the serial enumeration exactly).
+  // Step 1: all k-cliques, materialized (chunks of roots on the pool via
+  // ParallelChunks, drained in ascending chunk order, so clique ids match the
+  // serial enumeration exactly).
   Dag dag(g, options.orientation != nullptr ? *options.orientation
                                             : DegeneracyOrdering(g));
   CliqueStore all(options.k);

@@ -1,7 +1,6 @@
 #include "dynamic/candidate_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "clique/kclique.h"
@@ -255,25 +254,22 @@ void SolutionState::RebuildCandidatesForMany(std::span<const uint32_t> slots,
 void SolutionState::RebuildAllCandidates(ThreadPool* pool) {
   std::vector<uint32_t> slots;
   ForEachSlot([&slots](uint32_t s) { slots.push_back(s); });
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    RebuildCandidatesForMany(slots, nullptr);
-    return;
-  }
   // Enumeration reads only the graph and the free/non-free map — never the
-  // candidate slots — so fanning it out (worker-private kernels, shared
-  // cursor) and registering serially afterwards in slot order yields
-  // exactly the serial loop's candidates in exactly its registration
-  // order. The shared subset_kernel_ is only for the serial path.
+  // candidate slots — so enumerating in ParallelChunks (one kernel per
+  // worker) and registering serially afterwards in slot order yields
+  // exactly RebuildCandidatesForMany's candidates in exactly its
+  // registration order, at any thread count.
   std::vector<std::vector<std::vector<NodeId>>> found(slots.size());
-  std::atomic<size_t> cursor{0};
-  pool->RunPerWorker([&](size_t) {
-    NeighborhoodKernel kernel;
-    for (;;) {
-      const size_t i = cursor.fetch_add(1);
-      if (i >= slots.size()) break;
-      EnumerateCandidatesFor(slots[i], &found[i], &kernel);
-    }
-  });
+  ParallelChunks(
+      pool, slots.size(), Deadline::Unlimited(),
+      [] { return NeighborhoodKernel(); },
+      [&](size_t, size_t begin, size_t end, NeighborhoodKernel* kernel) {
+        for (size_t i = begin; i < end; ++i) {
+          EnumerateCandidatesFor(slots[i], &found[i], kernel);
+        }
+        return true;
+      },
+      [](NeighborhoodKernel*) {});
   for (size_t i = 0; i < slots.size(); ++i) {
     KillOwnedCandidates(slots[i]);
     for (const auto& nodes : found[i]) RegisterCandidate(nodes, slots[i]);

@@ -131,9 +131,10 @@ class SolutionState {
                                 UpdateWork* meter = nullptr);
 
   /// Algorithm 5 for the whole solution (never budgeted: the initial index
-  /// build must be complete). With `pool`, enumeration fans out across
-  /// workers and registration stays serial in slot order, so the index is
-  /// byte-identical to the serial build.
+  /// build must be complete). Enumeration runs on ParallelChunks (across
+  /// `pool`'s workers when given) and registration stays serial in slot
+  /// order, so the index is byte-identical to RebuildCandidatesForMany over
+  /// every slot, at any thread count.
   void RebuildAllCandidates(ThreadPool* pool = nullptr);
 
   /// Kill every candidate whose clique uses edge (u, v) — edge-deletion
@@ -234,8 +235,8 @@ class SolutionState {
   }
   void KillCandidate(uint32_t idx);
   // Kills every alive candidate of `slot`, clears its cands list and its
-  // incomplete flag — the shared first half of a rebuild (serial and
-  // pooled paths must stay identical, so there is exactly one
+  // incomplete flag — the shared first half of a rebuild (the per-slot and
+  // whole-solution rebuilds must stay identical, so there is exactly one
   // implementation).
   void KillOwnedCandidates(uint32_t slot);
   // Appends `slot` to the change log, or drops the log once it would
@@ -250,8 +251,8 @@ class SolutionState {
   void MaybeCompactNodeCands();
   // Enumerates valid candidates for `slot` into `out` without mutating the
   // index, driving the subset DFS through `kernel` (callers on the serial
-  // per-update path pass `&subset_kernel_`; the parallel whole-solution
-  // rebuild passes worker-private kernels). `budget`, when non-null,
+  // per-update path pass `&subset_kernel_`; the whole-solution rebuild
+  // passes worker-private kernels). `budget`, when non-null,
   // charges/truncates the DFS (see EnumBudget).
   void EnumerateCandidatesFor(uint32_t slot,
                               std::vector<std::vector<NodeId>>* out,

@@ -394,25 +394,23 @@ StatusOr<ExactMisResult> ExactMis(
     }
   }
 
-  std::vector<StatusOr<ExactMisResult>> solved(
-      num_comps, StatusOr<ExactMisResult>(ExactMisResult{}));
-  auto solve_one = [&](uint32_t c) {
-    solved[c] = SolveComponent(adj, members[c], local_id, params.deadline,
-                               bounds[c], &budget);
-  };
-  ThreadPool* pool = params.pool;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    for (uint32_t c = 0; c < num_comps; ++c) {
-      if (members[c].size() == 1) continue;
-      pool->Submit([&solve_one, c] { solve_one(c); });
-    }
-    pool->Wait();
-  } else {
-    for (uint32_t c = 0; c < num_comps; ++c) {
-      if (members[c].size() == 1) continue;
-      solve_one(c);
-    }
-  }
+  // Every entry starts as "not run", so a component the driver never
+  // reached cannot pass for an empty optimum.
+  const Status not_run =
+      Status::TimeBudgetExceeded("exact MIS component not solved");
+  std::vector<StatusOr<ExactMisResult>> solved(num_comps, not_run);
+  const bool completed = ParallelChunks(
+      params.pool, num_comps, params.deadline, [] { return 0; },
+      [&](size_t, uint32_t begin, uint32_t end, int*) {
+        for (uint32_t c = begin; c < end; ++c) {
+          if (members[c].size() == 1) continue;
+          solved[c] = SolveComponent(adj, members[c], local_id, params.deadline,
+                                     bounds[c], &budget);
+        }
+        return true;
+      },
+      [](int*) {});
+  if (!completed) return not_run;
 
   // Deterministic ordered merge: components ascending, isolated vertices
   // (always in some optimum) inlined in place.

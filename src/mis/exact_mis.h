@@ -9,9 +9,11 @@
 //
 // Techniques:
 //   * connected-component decomposition before branching: each component is
-//     solved independently (optionally in parallel across a pool — the
-//     per-component searches share nothing) and the results are merged in
-//     component order, so the answer is byte-identical at any thread count;
+//     solved independently (in chunks of components on ParallelChunks,
+//     parallel across a pool when one is given — the per-component
+//     searches share nothing but the branch budget) and the results are
+//     merged in component order, so the answer is byte-identical at any
+//     thread count;
 //   * per-component upper bounds supplied by the caller (who can see
 //     structure the solver cannot, e.g. the k-clique packing bound), fixed
 //     before any component is solved — deliberately *not* tightened by

@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace dkc {
 
@@ -54,46 +53,6 @@ void ThreadPool::WorkerLoop() {
       if (--in_flight_ == 0) idle_cv_.notify_all();
     }
   }
-}
-
-void ThreadPool::RunPerWorker(const std::function<void(size_t)>& fn) {
-  const size_t workers = num_threads();
-  if (workers <= 1) {
-    fn(0);
-    return;
-  }
-  for (size_t w = 0; w < workers; ++w) {
-    Submit([&fn, w] { fn(w); });
-  }
-  Wait();
-}
-
-void ThreadPool::ParallelFor(size_t count,
-                             const std::function<void(size_t)>& body) {
-  if (count == 0) return;
-  const size_t workers = num_threads();
-  // Inline for tiny ranges or a degenerate pool: the chunking overhead would
-  // dominate.
-  if (workers <= 1 || count < 2 * workers) {
-    for (size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  // Dynamic scheduling: shared cursor, fixed-size chunks. Clique workloads
-  // are badly skewed (hub nodes cost orders of magnitude more), so static
-  // partitioning would leave threads idle.
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  const size_t chunk = std::max<size_t>(1, count / (workers * 8));
-  for (size_t w = 0; w < workers; ++w) {
-    Submit([next, chunk, count, &body] {
-      for (;;) {
-        const size_t begin = next->fetch_add(chunk);
-        if (begin >= count) return;
-        const size_t end = std::min(count, begin + chunk);
-        for (size_t i = begin; i < end; ++i) body(i);
-      }
-    });
-  }
-  Wait();
 }
 
 }  // namespace dkc

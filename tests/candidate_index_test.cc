@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <string>
+#include <vector>
 
 #include "clique/kclique.h"
 #include "gen/named_graphs.h"
@@ -140,26 +143,57 @@ TEST(SolutionStateTest, EnsureNodeCapacityGrows) {
   EXPECT_TRUE(state.CheckInvariants(&error)) << error;
 }
 
-TEST(SolutionStateTest, ParallelRebuildMatchesSerial) {
-  Graph g = testing::RandomGraph(300, 0.05, /*seed=*/110);
-  // Seed a solution with LP-style greedy: just use SolveBasic via cliques...
-  // Simpler: find disjoint triangles greedily by brute force.
-  SolutionState serial(DynamicGraph(g), 3, ScoresFor(g, 3));
-  SolutionState parallel(DynamicGraph(g), 3, ScoresFor(g, 3));
+// Solution states over `g` seeded with the same greedy disjoint triangles,
+// one per entry of `states`; returns the slots in insertion order.
+std::vector<uint32_t> SeedGreedyTriangles(
+    const Graph& g, std::initializer_list<SolutionState*> states) {
   std::vector<uint8_t> used(g.num_nodes(), 0);
+  std::vector<uint32_t> slots;
   for (const auto& tri : testing::BruteForceKCliques(g, 3)) {
     if (used[tri[0]] || used[tri[1]] || used[tri[2]]) continue;
     for (NodeId u : tri) used[u] = 1;
-    serial.AddSolutionClique(tri);
-    parallel.AddSolutionClique(tri);
+    uint32_t slot = 0;
+    for (SolutionState* state : states) slot = state->AddSolutionClique(tri);
+    slots.push_back(slot);
   }
+  return slots;
+}
+
+// RebuildAllCandidates, serial and pooled, must reproduce the per-slot
+// path the update path uses (RebuildCandidatesForMany over every slot) to
+// the byte: same candidates, same scores, same registration order per
+// slot.
+void ExpectRebuildAllMatchesPerSlot(const Graph& g) {
+  SolutionState reference(DynamicGraph(g), 3, ScoresFor(g, 3));
+  SolutionState serial(DynamicGraph(g), 3, ScoresFor(g, 3));
+  SolutionState pooled(DynamicGraph(g), 3, ScoresFor(g, 3));
+  const std::vector<uint32_t> slots =
+      SeedGreedyTriangles(g, {&reference, &serial, &pooled});
+  ASSERT_GE(slots.size(), 2u);
+  reference.RebuildCandidatesForMany(slots, nullptr);
   serial.RebuildAllCandidates(nullptr);
   ThreadPool pool(4);
-  parallel.RebuildAllCandidates(&pool);
-  EXPECT_EQ(serial.num_alive_candidates(), parallel.num_alive_candidates());
-  std::string error;
-  EXPECT_TRUE(serial.CheckInvariants(&error)) << error;
-  EXPECT_TRUE(parallel.CheckInvariants(&error)) << error;
+  pooled.RebuildAllCandidates(&pool);
+  for (const SolutionState* state : {&serial, &pooled}) {
+    SCOPED_TRACE(state == &serial ? "serial" : "pooled");
+    EXPECT_EQ(state->num_alive_candidates(), reference.num_alive_candidates());
+    for (uint32_t s : slots) {
+      const auto a = reference.CandidatesOf(s);
+      const auto b = state->CandidatesOf(s);
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].nodes, b[i].nodes);  // order matters: registration
+        EXPECT_EQ(a[i].score, b[i].score);
+      }
+    }
+    std::string error;
+    EXPECT_TRUE(state->CheckInvariants(&error)) << error;
+    EXPECT_TRUE(state->CheckCandidateCompleteness(&error)) << error;
+  }
+}
+
+TEST(SolutionStateTest, ParallelRebuildMatchesSerial) {
+  ExpectRebuildAllMatchesPerSlot(testing::RandomGraph(300, 0.05, /*seed=*/110));
 }
 
 TEST(SolutionStateTest, RebuildReportsEdgeCandidateDirectly) {
@@ -184,36 +218,7 @@ TEST(SolutionStateTest, RebuildReportsEdgeCandidateDirectly) {
 }
 
 TEST(SolutionStateTest, RebuildManyMatchesSerialExactly) {
-  // The pooled whole-solution rebuild must reproduce the serial per-slot
-  // loop to the byte: same candidates, same registration order per slot.
-  Graph g = testing::RandomGraph(200, 0.07, /*seed=*/220);
-  SolutionState serial(DynamicGraph(g), 3, ScoresFor(g, 3));
-  SolutionState pooled(DynamicGraph(g), 3, ScoresFor(g, 3));
-  std::vector<uint8_t> used(g.num_nodes(), 0);
-  std::vector<uint32_t> slots;
-  for (const auto& tri : testing::BruteForceKCliques(g, 3)) {
-    if (used[tri[0]] || used[tri[1]] || used[tri[2]]) continue;
-    for (NodeId u : tri) used[u] = 1;
-    slots.push_back(serial.AddSolutionClique(tri));
-    pooled.AddSolutionClique(tri);
-  }
-  ASSERT_GE(slots.size(), 2u);
-  serial.RebuildAllCandidates(nullptr);
-  ThreadPool pool(4);
-  pooled.RebuildAllCandidates(&pool);
-  EXPECT_EQ(serial.num_alive_candidates(), pooled.num_alive_candidates());
-  for (uint32_t s : slots) {
-    const auto a = serial.CandidatesOf(s);
-    const auto b = pooled.CandidatesOf(s);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].nodes, b[i].nodes);  // order matters: registration order
-      EXPECT_EQ(a[i].score, b[i].score);
-    }
-  }
-  std::string error;
-  EXPECT_TRUE(pooled.CheckInvariants(&error)) << error;
-  EXPECT_TRUE(pooled.CheckCandidateCompleteness(&error)) << error;
+  ExpectRebuildAllMatchesPerSlot(testing::RandomGraph(200, 0.07, /*seed=*/220));
 }
 
 TEST(SolutionStateTest, MeteredRebuildCutsLeaveValidButIncompleteIndex) {

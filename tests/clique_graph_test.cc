@@ -105,6 +105,27 @@ TEST(CliqueGraphTest, AdjacencyIsSymmetricAndDeduplicated) {
   EXPECT_EQ(total, 2 * cg->num_edges());
 }
 
+TEST(CliqueGraphTest, PooledBuildMatchesSerial) {
+  // Rows dedupe in parallel chunks; every row must come out as the serial
+  // build's.
+  Graph g = testing::RandomGraph(60, 0.4, /*seed=*/65);
+  CliqueStore store = MaterializeCliques(g, 3);
+  ASSERT_GT(store.size(), 256u);
+  auto serial = CliqueGraph::Build(store, g.num_nodes());
+  ThreadPool pool(4);
+  auto pooled = CliqueGraph::Build(store, g.num_nodes(), nullptr,
+                                   Deadline::Unlimited(), &pool);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(pooled.ok());
+  EXPECT_EQ(pooled->num_edges(), serial->num_edges());
+  for (CliqueId c = 0; c < store.size(); ++c) {
+    const auto a = serial->Neighbors(c);
+    const auto b = pooled->Neighbors(c);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "clique " << c;
+  }
+}
+
 TEST(CliqueGraphTest, DisjointCliquesYieldNoEdges) {
   PlantedCliqueSpec spec;
   spec.num_cliques = 6;

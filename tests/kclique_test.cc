@@ -129,9 +129,21 @@ TEST(KCliqueTest, TriangleFreeGraphHasNoTriangles) {
 TEST(KCliqueTest, DeadlineReportsOot) {
   Graph g = testing::RandomGraph(200, 0.3, /*seed=*/51);
   Dag dag(g, DegeneracyOrdering(g));
-  bool oot = false;
-  CountKCliques(dag, 5, nullptr, Deadline::AfterMillis(0), &oot);
-  EXPECT_TRUE(oot);
+  ThreadPool pool(4);
+  ThreadPool* pools[] = {nullptr, &pool};
+  for (ThreadPool* p : pools) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pool4");
+    bool oot = false;
+    CountKCliques(dag, 5, p, Deadline::AfterMillis(0), &oot);
+    EXPECT_TRUE(oot);
+    oot = false;
+    ComputeNodeScores(dag, 5, p, Deadline::AfterMillis(0), &oot);
+    EXPECT_TRUE(oot);
+    CliqueStore store(5);
+    const Status listed = ListKCliques(dag, 5, p, Deadline::AfterMillis(0),
+                                       nullptr, "test", &store);
+    EXPECT_TRUE(listed.IsTimeBudgetExceeded()) << listed.ToString();
+  }
 }
 
 TEST(KCliqueTest, ParallelCountMatchesSerial) {
@@ -149,6 +161,54 @@ TEST(KCliqueTest, ParallelScoresMatchSerial) {
   NodeScores parallel = ComputeNodeScores(dag, 3, &pool);
   EXPECT_EQ(serial.total_cliques, parallel.total_cliques);
   EXPECT_EQ(serial.per_node, parallel.per_node);
+}
+
+TEST(KCliqueTest, ListMatchesForEachOrderAtAnyThreadCount) {
+  // Enough roots for many chunks per worker, so finished chunks park
+  // behind slower ones and drain later; the store must still hold the
+  // cliques in exactly ForEach's ascending-root DFS order.
+  Graph g = testing::RandomGraph(3000, 0.01, /*seed=*/54);
+  Dag dag(g, DegeneracyOrdering(g));
+  std::vector<NodeId> expected;
+  KCliqueEnumerator enumerator(dag, 3);
+  enumerator.ForEach([&](std::span<const NodeId> nodes) {
+    expected.insert(expected.end(), nodes.begin(), nodes.end());
+    return true;
+  });
+  ASSERT_FALSE(expected.empty());
+  const NodeScores scores = ComputeNodeScores(dag, 3);
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool4};
+  for (ThreadPool* p : pools) {
+    SCOPED_TRACE(p == nullptr ? 0 : p->num_threads());
+    CliqueStore store(3);
+    std::vector<Count> node_scores(g.num_nodes(), 0);
+    ASSERT_TRUE(ListKCliques(dag, 3, p, Deadline::Unlimited(), nullptr,
+                             "test", &store, &node_scores)
+                    .ok());
+    std::vector<NodeId> listed;
+    for (CliqueId c = 0; c < store.size(); ++c) {
+      const auto nodes = store.Get(c);
+      listed.insert(listed.end(), nodes.begin(), nodes.end());
+    }
+    EXPECT_EQ(listed, expected);
+    EXPECT_EQ(node_scores, scores.per_node);
+  }
+}
+
+TEST(KCliqueTest, ListReportsMemoryBudgetExceeded) {
+  Graph g = testing::RandomGraph(200, 0.3, /*seed=*/55);
+  Dag dag(g, DegeneracyOrdering(g));
+  ThreadPool pool(4);
+  ThreadPool* pools[] = {nullptr, &pool};
+  for (ThreadPool* p : pools) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pool4");
+    MemoryBudget memory(1024);
+    CliqueStore store(4);
+    const Status listed = ListKCliques(dag, 4, p, Deadline::Unlimited(),
+                                       &memory, "test", &store);
+    EXPECT_TRUE(listed.IsMemoryBudgetExceeded()) << listed.ToString();
+  }
 }
 
 // Property sweep: counts, scores, and enumeration against brute force over

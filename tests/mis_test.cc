@@ -6,6 +6,7 @@
 #include "mis/exact_mis.h"
 #include "mis/greedy_mis.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dkc {
 namespace {
@@ -186,11 +187,47 @@ TEST(ExactMisTest, PetersenGraphIsFour) {
   EXPECT_EQ(result->vertices.size(), 4u);
 }
 
+// `copies` disjoint copies of RandomAdjacency(n, p, seed): one component
+// per copy (when each copy is connected), so ExactMis splits it.
+Adj DisjointCopies(uint32_t copies, uint32_t n, double p, uint64_t seed) {
+  const Adj one = RandomAdjacency(n, p, seed);
+  Adj adj(copies * n);
+  for (uint32_t c = 0; c < copies; ++c) {
+    for (uint32_t u = 0; u < n; ++u) {
+      for (uint32_t v : one[u]) adj[c * n + u].push_back(c * n + v);
+    }
+  }
+  return adj;
+}
+
 TEST(ExactMisTest, ExpiredDeadlineIsOot) {
   Adj adj = RandomAdjacency(60, 0.3, 1);
   auto result = ExactMis(adj, Deadline::AfterMillis(0));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsTimeBudgetExceeded());
+
+  // Multi-component, pooled: components the expired deadline keeps from
+  // running must not merge as empty optima.
+  ThreadPool pool(4);
+  ExactMisParams params;
+  params.pool = &pool;
+  params.deadline = Deadline::AfterMillis(0);
+  auto pooled = ExactMis(DisjointCopies(40, 12, 0.4, 2), params);
+  ASSERT_FALSE(pooled.ok());
+  EXPECT_TRUE(pooled.status().IsTimeBudgetExceeded());
+}
+
+TEST(ExactMisTest, PooledComponentsMatchSerial) {
+  const Adj adj = DisjointCopies(40, 12, 0.4, 2);
+  auto serial = ExactMis(adj);
+  ASSERT_TRUE(serial.ok());
+  ThreadPool pool(4);
+  ExactMisParams params;
+  params.pool = &pool;
+  auto pooled = ExactMis(adj, params);
+  ASSERT_TRUE(pooled.ok());
+  EXPECT_EQ(pooled->vertices, serial->vertices);
+  EXPECT_TRUE(IsIndependentSet(adj, pooled->vertices));
 }
 
 class ExactMisSweep : public ::testing::TestWithParam<uint64_t> {};

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -175,42 +178,6 @@ TEST(ThreadPoolTest, WaitOnIdlePoolReturns) {
   pool.Wait();  // must not hang
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndicesOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(10000);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ThreadPoolTest, ParallelForTinyRangeRunsInline) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  pool.ParallelFor(3, [&](size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPoolTest, RunPerWorkerRunsOncePerThread) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(pool.num_threads());
-  pool.RunPerWorker([&](size_t w) { hits[w].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, RunPerWorkerSingleThreadRunsInline) {
-  ThreadPool pool(1);
-  int calls = 0;
-  pool.RunPerWorker([&](size_t w) {
-    EXPECT_EQ(w, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
 TEST(ThreadPoolTest, SequentialSubmitBatches) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
@@ -219,44 +186,6 @@ TEST(ThreadPoolTest, SequentialSubmitBatches) {
     pool.Wait();
     EXPECT_EQ(counter.load(), (round + 1) * 20);
   }
-}
-
-TEST(ThreadPoolTest, ParallelForChunkBoundaries) {
-  // ParallelFor goes parallel at count >= 2 * workers and chunks by
-  // count / (workers * 8); sweep counts around those boundaries (and the
-  // chunk-size-1 regime) so off-by-one in the cursor arithmetic would
-  // double-visit or drop an index.
-  ThreadPool pool(4);
-  const size_t workers = pool.num_threads();
-  const size_t counts[] = {1,
-                           workers,
-                           2 * workers - 1,
-                           2 * workers,
-                           2 * workers + 1,
-                           8 * workers - 1,
-                           8 * workers,
-                           8 * workers + 1,
-                           64 * workers + 3};
-  for (size_t count : counts) {
-    SCOPED_TRACE(count);
-    std::vector<std::atomic<int>> hits(count);
-    pool.ParallelFor(count, [&](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForSingleIteration) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::atomic<size_t> seen_index{999};
-  pool.ParallelFor(1, [&](size_t i) {
-    counter.fetch_add(1);
-    seen_index.store(i);
-  });
-  EXPECT_EQ(counter.load(), 1);
-  EXPECT_EQ(seen_index.load(), 0u);
 }
 
 TEST(ThreadPoolTest, SubmitWaitInterleaving) {
@@ -299,6 +228,172 @@ TEST(ThreadPoolTest, DestructionDrainsQueuedWork) {
     // No Wait(): the destructor races the queue.
   }
   EXPECT_EQ(counter.load(), 64);
+}
+
+// -------------------------------------------------------- ParallelChunks
+// One chunk as the body saw it.
+struct ChunkSeen {
+  size_t index;
+  size_t begin;
+  size_t end;
+};
+
+// Runs ParallelChunks over [0, count) with per-worker chunk logs and
+// returns every chunk seen, sorted by chunk index.
+std::vector<ChunkSeen> RunChunks(ThreadPool* pool, size_t count,
+                                 std::vector<std::atomic<int>>* hits) {
+  std::mutex mu;
+  std::vector<ChunkSeen> seen;
+  const bool completed = ParallelChunks(
+      pool, count, Deadline::Unlimited(),
+      [] { return std::vector<ChunkSeen>(); },
+      [&](size_t c, size_t begin, size_t end, std::vector<ChunkSeen>* log) {
+        for (size_t i = begin; i < end; ++i) (*hits)[i].fetch_add(1);
+        log->push_back({c, begin, end});
+        return true;
+      },
+      [&](std::vector<ChunkSeen>* log) {
+        std::lock_guard<std::mutex> lock(mu);
+        seen.insert(seen.end(), log->begin(), log->end());
+      });
+  EXPECT_TRUE(completed);
+  std::sort(seen.begin(), seen.end(),
+            [](const ChunkSeen& a, const ChunkSeen& b) {
+              return a.index < b.index;
+            });
+  return seen;
+}
+
+TEST(ParallelChunksTest, VisitsEveryIndexOnceInContiguousChunks) {
+  // The driver goes parallel at count >= 2 * workers and sizes chunks by
+  // count / (4 * workers), capped at 256; sweep counts around those
+  // boundaries (and the chunk-size-1 regime) so off-by-one in the cursor
+  // arithmetic would double-visit or drop an index. Chunk c must be the
+  // c-th contiguous slice, and chunk indices must cover 0..num_chunks-1
+  // once each.
+  ThreadPool pool1(1), pool4(4);
+  ThreadPool* pools[] = {nullptr, &pool1, &pool4};
+  const size_t counts[] = {1, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33,
+                           259, 4096, 4097, 8 * 256 * 4 + 3};
+  for (ThreadPool* pool : pools) {
+    for (size_t count : counts) {
+      SCOPED_TRACE("threads=" +
+                   std::to_string(pool == nullptr ? 0 : pool->num_threads()) +
+                   " count=" + std::to_string(count));
+      std::vector<std::atomic<int>> hits(count);
+      const std::vector<ChunkSeen> seen = RunChunks(pool, count, &hits);
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+      }
+      ASSERT_FALSE(seen.empty());
+      const size_t size = seen[0].end - seen[0].begin;
+      EXPECT_GE(size, 1u);
+      EXPECT_LE(size, 256u);
+      for (size_t c = 0; c < seen.size(); ++c) {
+        EXPECT_EQ(seen[c].index, c);
+        EXPECT_EQ(seen[c].begin, c * size);
+        EXPECT_EQ(seen[c].end, std::min(count, (c + 1) * size));
+      }
+      EXPECT_EQ(seen.back().end, count);
+    }
+  }
+}
+
+TEST(ParallelChunksTest, EmptyRangeCallsNoBody) {
+  ThreadPool pool(4);
+  ThreadPool* pools[] = {nullptr, &pool};
+  for (ThreadPool* p : pools) {
+    const bool completed = ParallelChunks(
+        p, 0, Deadline::Unlimited(), [] { return 0; },
+        [](size_t, size_t, size_t, int*) {
+          ADD_FAILURE() << "must not be called";
+          return true;
+        },
+        [](int*) {});
+    EXPECT_TRUE(completed);
+  }
+}
+
+TEST(ParallelChunksTest, MergeRunsOncePerBuiltState) {
+  ThreadPool pool1(1), pool4(4);
+  ThreadPool* pools[] = {nullptr, &pool1, &pool4};
+  for (ThreadPool* pool : pools) {
+    for (size_t count : {1u, 100u, 10000u}) {
+      std::atomic<int> built{0};
+      std::atomic<int> merged{0};
+      std::atomic<size_t> sum{0};
+      struct State {
+        int id;
+        size_t local;
+        bool merged;
+      };
+      ParallelChunks(
+          pool, count, Deadline::Unlimited(),
+          [&] { return State{built.fetch_add(1), 0, false}; },
+          [](size_t, size_t begin, size_t end, State* s) {
+            s->local += end - begin;
+            return true;
+          },
+          [&](State* s) {
+            EXPECT_FALSE(s->merged);
+            s->merged = true;
+            merged.fetch_add(1);
+            sum.fetch_add(s->local);
+          });
+      EXPECT_GE(built.load(), 1);
+      EXPECT_LE(built.load(),
+                static_cast<int>(pool == nullptr ? 1 : pool->num_threads()));
+      EXPECT_EQ(merged.load(), built.load());
+      EXPECT_EQ(sum.load(), count);
+    }
+  }
+}
+
+TEST(ParallelChunksTest, ExpiredDeadlineReturnsFalse) {
+  ThreadPool pool(4);
+  ThreadPool* pools[] = {nullptr, &pool};
+  for (ThreadPool* p : pools) {
+    std::atomic<int> bodies{0};
+    const bool completed = ParallelChunks(
+        p, 10000, Deadline::AfterMillis(0), [] { return 0; },
+        [&](size_t, size_t, size_t, int*) {
+          bodies.fetch_add(1);
+          return true;
+        },
+        [](int*) {});
+    EXPECT_FALSE(completed);
+    EXPECT_EQ(bodies.load(), 0);  // checked before every chunk
+  }
+}
+
+TEST(ParallelChunksTest, BodyReturningFalseStopsEveryWorker) {
+  ThreadPool pool1(1), pool4(4);
+  ThreadPool* pools[] = {nullptr, &pool1, &pool4};
+  for (ThreadPool* p : pools) {
+    const int workers = p == nullptr ? 1 : static_cast<int>(p->num_threads());
+    std::atomic<int> bodies{0};
+    std::atomic<bool> stopping{false};
+    std::atomic<int> late{0};
+    const bool completed = ParallelChunks(
+        p, 100000, Deadline::Unlimited(), [] { return 0; },
+        [&](size_t c, size_t, size_t, int*) {
+          if (stopping.load()) late.fetch_add(1);
+          bodies.fetch_add(1);
+          if (c == 3) {
+            stopping.store(true);
+            return false;
+          }
+          return true;
+        },
+        [](int*) {});
+    EXPECT_FALSE(completed);
+    // Once a body stops, no worker claims another chunk: only chunks that
+    // other workers had already claimed may still run.
+    EXPECT_LE(late.load(), workers - 1);
+    if (workers == 1) {
+      EXPECT_EQ(bodies.load(), 4);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Flags

@@ -278,15 +278,14 @@ struct MinScoreVisitor {
   NodeId* prefix;  // local ids, capacity q
   NodeId* best;    // local ids, capacity q
   int depth = 0;
-  int best_len = 0;      // 0 while best_score is a phantom bound
+  int best_len = 0;  // 0 until the first clique is found
   Count best_score = 0;
-  bool have_best = false;
   bool Enter(NodeId i) {
     // Scores are non-negative, so running + score(i) lower-bounds every
     // completion of the branch — and a completion *equal* to the best can
     // never replace it (only strict improvements do), so cutting at >= is
     // safe and cannot change the first-found-in-DFS-order minimum.
-    if (prune && have_best && running + local_scores[i] >= best_score) {
+    if (prune && best_len > 0 && running + local_scores[i] >= best_score) {
       return false;
     }
     prefix[depth++] = i;
@@ -300,47 +299,13 @@ struct MinScoreVisitor {
   bool LeafCount(Count) { return true; }
   bool LeafId(NodeId i) {
     const Count candidate_total = running + local_scores[i];
-    if (!have_best || candidate_total < best_score) {
+    if (best_len == 0 || candidate_total < best_score) {
       best_score = candidate_total;
       std::copy(prefix, prefix + depth, best);
       best[depth] = i;
       best_len = depth + 1;
-      have_best = true;
     }
     return true;
-  }
-};
-
-// Second pass of the greedy-seeded FindMin (see FindMinScoreClique): the
-// first pass proved no clique scores below `target`, so the answer is the
-// first clique in DFS order that *reaches* target — an early-exit search
-// with the tightest possible cut (any prefix strictly above target is dead).
-struct TieSeekVisitor {
-  static constexpr bool kLeafIterates = true;
-  const Count* local_scores;
-  Count running;  // base + scores of the current prefix
-  Count target;
-  NodeId* prefix;  // local ids, capacity q
-  NodeId* best;    // local ids, capacity q
-  int depth = 0;
-  int best_len = 0;
-  bool Enter(NodeId i) {
-    if (running + local_scores[i] > target) return false;
-    prefix[depth++] = i;
-    running += local_scores[i];
-    return true;
-  }
-  void Exit(NodeId i) {
-    running -= local_scores[i];
-    --depth;
-  }
-  bool LeafCount(Count) { return true; }
-  bool LeafId(NodeId i) {
-    if (running + local_scores[i] > target) return true;
-    std::copy(prefix, prefix + depth, best);
-    best[depth] = i;
-    best_len = depth + 1;
-    return false;  // first hit is the answer; stop the traversal
   }
 };
 
@@ -378,63 +343,10 @@ bool NeighborhoodKernel::FindMinScoreClique(int q,
   MinScoreVisitor visitor{a_->local_scores.data(), prune, base_score,
                           a_->prefix_scratch.data(), a_->best_scratch.data()};
 
-  // Greedy-seeded two-pass search (pruned mode, one-word universes): a
-  // greedy min-score descent yields a real clique score S_g; pass 1 runs
-  // the normal DFS with S_g as a *phantom* incumbent, so pruning is at
-  // full strength from the first branch. Updates still happen only on
-  // strictly-smaller totals — and every prefix of a strictly-better clique
-  // stays under the bound (scores are non-negative), so if the true
-  // minimum is below S_g, pass 1 returns exactly the first-found minimum.
-  // Otherwise the minimum IS S_g and pass 2 early-exits at the first
-  // clique reaching it — again the DFS-order tie-break winner. Results
-  // are identical to the plain DFS; only the amount of pruning differs.
-  if (prune && use_bitmap_ && words_ == 1 && q >= 2) {
-    MaterializeAllRows();  // the dive needs rows; the DFS reuses them
-    const uint64_t full = s_ == 64 ? ~uint64_t{0} : (uint64_t{1} << s_) - 1;
-    const uint64_t* rows = a_->rows.data();
-    const Count* ls = a_->local_scores.data();
-    uint64_t cand = full;
-    Count greedy_score = base_score;
-    bool greedy_ok = true;
-    for (int d = 0; d < q; ++d) {
-      if (cand == 0) {
-        greedy_ok = false;
-        break;
-      }
-      NodeId pick = 0;
-      Count pick_score = 0;
-      bool first = true;
-      for (uint64_t bits = cand; bits != 0; bits &= bits - 1) {
-        const NodeId i = static_cast<NodeId>(std::countr_zero(bits));
-        if (first || ls[i] < pick_score) {
-          pick = i;
-          pick_score = ls[i];
-          first = false;
-        }
-      }
-      greedy_score += pick_score;
-      if (d + 1 < q) cand &= rows[pick];
-    }
-    if (greedy_ok) {
-      visitor.have_best = true;  // phantom: best_len stays 0
-      visitor.best_score = greedy_score;
-      Visit(q, visitor);
-      if (visitor.best_len == 0) {
-        // Nothing beats the greedy score: seek its first DFS occurrence.
-        TieSeekVisitor tie{ls,        base_score,
-                           greedy_score, a_->prefix_scratch.data(),
-                           a_->best_scratch.data()};
-        Visit(q, tie);
-        visitor.best_len = tie.best_len;
-        visitor.best_score = greedy_score;
-      }
-    } else {
-      Visit(q, visitor);
-    }
-  } else {
-    Visit(q, visitor, /*eager=*/true);
-  }
-  if (!visitor.have_best || visitor.best_len == 0) return false;
+  // Pruned searches cut most branches early, so rows stay lazy; the
+  // unpruned search visits every clique and builds them all up front.
+  Visit(q, visitor, /*eager=*/!prune);
+  if (visitor.best_len == 0) return false;
   clique->clear();
   for (int i = 0; i < visitor.best_len; ++i) {
     clique->push_back(uni_[a_->best_scratch[i]]);

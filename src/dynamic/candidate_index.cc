@@ -373,7 +373,12 @@ bool SolutionState::CheckInvariants(std::string* error) const {
   }
   if (alive_slots != solution_size_) return fail("solution_size_ drifted");
   // Candidates: real cliques, >=1 free node, non-free nodes all in owner.
+  // The owner passed the clique check above, so its pairs are edges; only
+  // a free node's pairs need probing, by one merge of its sorted row
+  // against the candidate's other nodes. A repeated node fails that merge
+  // too (rows hold neither self-loops nor duplicates).
   Count alive_cands = 0;
+  std::vector<NodeId> others;
   for (uint32_t i = 0; i < candidates_.size(); ++i) {
     const Candidate& cand = candidates_[i];
     if (!cand.alive) continue;
@@ -381,16 +386,22 @@ bool SolutionState::CheckInvariants(std::string* error) const {
     if (!SlotAlive(cand.owner)) return fail("candidate with dead owner");
     int free_nodes = 0;
     for (size_t a = 0; a < cand.nodes.size(); ++a) {
-      const uint32_t s = node_to_clique_[cand.nodes[a]];
-      if (s == kNoClique) {
-        ++free_nodes;
-      } else if (s != cand.owner) {
-        return fail("candidate non-free node outside owner");
-      }
-      for (size_t b = a + 1; b < cand.nodes.size(); ++b) {
-        if (!graph_.HasEdge(cand.nodes[a], cand.nodes[b])) {
-          return fail("candidate is not a clique");
+      const NodeId u = cand.nodes[a];
+      const uint32_t s = node_to_clique_[u];
+      if (s != kNoClique) {
+        if (s != cand.owner) {
+          return fail("candidate non-free node outside owner");
         }
+        continue;
+      }
+      ++free_nodes;
+      others.assign(cand.nodes.begin(), cand.nodes.end());
+      others.erase(others.begin() + a);
+      std::sort(others.begin(), others.end());
+      const auto row = graph_.Neighbors(u);
+      if (!std::includes(row.begin(), row.end(), others.begin(),
+                         others.end())) {
+        return fail("candidate is not a clique");
       }
     }
     if (free_nodes == 0) return fail("candidate without free nodes");

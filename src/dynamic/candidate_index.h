@@ -197,7 +197,10 @@ class SolutionState {
   static StatusOr<std::unique_ptr<SolutionState>> Deserialize(
       std::string_view graph_bytes, std::string_view state_bytes);
 
-  /// Exhaustive invariant check (tests only; O(index size * k)).
+  /// Exhaustive invariant check (tests and snapshot load). A candidate's
+  /// owner-owner pairs are taken as proven by its owner's clique check;
+  /// each free node is checked by one sorted merge of its row against the
+  /// candidate's other nodes, which also refuses a repeated node.
   bool CheckInvariants(std::string* error) const;
 
   /// Completeness check (tests only, much more expensive than

@@ -31,6 +31,34 @@ constexpr CrcTables MakeCrcTables() {
 
 constexpr CrcTables kTables = MakeCrcTables();
 
+// a·b modulo the CRC polynomial, both in the reflected representation
+// (bit 31 is x⁰): shift-and-add over the bits of a.
+constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) product ^= b;
+    b = (b & 1) ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+  }
+  return product;
+}
+
+// kX2n[i] = x^(2^i) modulo the polynomial, so x^n is a product of the
+// entries for n's set bits. The order of x divides 2³² - 1, so x^(2^32)
+// is x again and the table repeats with period 32.
+using PowerTable = std::array<uint32_t, 32>;
+
+constexpr PowerTable MakePowerTable() {
+  PowerTable table{};
+  uint32_t p = 1u << 30;  // x¹
+  for (auto& entry : table) {
+    entry = p;
+    p = MultModP(p, p);
+  }
+  return table;
+}
+
+constexpr PowerTable kX2n = MakePowerTable();
+
 // Little-endian load assembled from bytes (no host-endianness assumption;
 // compilers fold it into one load on little-endian targets).
 inline uint32_t LoadLE32(const unsigned char* p) {
@@ -57,6 +85,16 @@ uint32_t Crc32(std::string_view data, uint32_t seed) {
     c = kTables[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t len_b) {
+  // Appending len_b bytes multiplies a's register by x^(8·len_b); the
+  // pre- and post-conditioning xors cancel in the combination.
+  uint32_t shift = 1u << 31;  // x⁰
+  for (size_t i = 3; len_b != 0; len_b >>= 1, ++i) {
+    if (len_b & 1) shift = MultModP(kX2n[i & 31], shift);
+  }
+  return MultModP(shift, crc_a) ^ crc_b;
 }
 
 }  // namespace dkc

@@ -1,5 +1,7 @@
 #include "store/snapshot.h"
 
+#include <vector>
+
 #include "io/atomic_file.h"
 #include "io/fault.h"
 #include "io/read_file.h"
@@ -20,7 +22,10 @@ constexpr uint32_t kSectionState = 3;
 
 // Section framing written in place: BeginSection appends the id and a
 // placeholder size + CRC, the caller serializes the payload straight onto
-// the file buffer, and EndSection patches both fields over it.
+// the file buffer, and EndSection patches both fields over it. `file_crc`
+// is the CRC of file[0, header) on entry and of the whole buffer on exit:
+// the payload's CRC is folded in with Crc32Combine, so each byte is
+// checksummed once.
 constexpr size_t kSectionHeaderBytes = 16;
 
 size_t BeginSection(std::string* file, uint32_t id) {
@@ -30,14 +35,27 @@ size_t BeginSection(std::string* file, uint32_t id) {
   return header;
 }
 
-void EndSection(std::string* file, size_t header) {
+void EndSection(std::string* file, size_t header, uint32_t* file_crc) {
   const size_t start = header + kSectionHeaderBytes;
   const std::string_view payload(file->data() + start, file->size() - start);
+  const uint32_t payload_crc = Crc32(payload);
   std::string fields;
   PutU64(&fields, payload.size());
-  PutU32(&fields, Crc32(payload));
+  PutU32(&fields, payload_crc);
   file->replace(header + 4, fields.size(), fields);
+  *file_crc = Crc32Combine(
+      Crc32(std::string_view(file->data() + header, kSectionHeaderBytes),
+            *file_crc),
+      payload_crc, payload.size());
 }
+
+// One parsed section-table entry: the stored CRC and the payload's.
+struct Section {
+  uint32_t id = 0;
+  uint32_t stored_crc = 0;
+  uint32_t crc = 0;
+  std::string_view payload;
+};
 
 Status Corrupt(const std::string& what, const std::string& path) {
   return Status::Corruption("snapshot '" + path + "': " + what);
@@ -54,23 +72,24 @@ Status WriteSnapshot(const SolutionState& state, uint64_t applied_seq,
   file.append(kMagic, sizeof(kMagic));
   PutU32(&file, kFormatVersion);
   PutU32(&file, 3);  // section count
+  uint32_t file_crc = Crc32(file);
 
   size_t header = BeginSection(&file, kSectionMeta);
   PutU32(&file, static_cast<uint32_t>(state.k()));
   PutU64(&file, applied_seq);
   PutU64(&file, state.graph().num_nodes());
   PutU64(&file, state.graph().num_edges());
-  EndSection(&file, header);
+  EndSection(&file, header, &file_crc);
 
   header = BeginSection(&file, kSectionGraph);
   state.SerializeGraphTo(&file);
-  EndSection(&file, header);
+  EndSection(&file, header, &file_crc);
 
   header = BeginSection(&file, kSectionState);
   state.SerializeStateTo(&file);
-  EndSection(&file, header);
+  EndSection(&file, header, &file_crc);
 
-  PutU32(&file, Crc32(file));  // whole-file CRC
+  PutU32(&file, file_crc);  // whole-file CRC
   return AtomicWriteFile(path, file);
 }
 
@@ -86,40 +105,60 @@ StatusOr<LoadedSnapshot> ReadSnapshot(const std::string& path) {
       file.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
     return Corrupt("bad magic", path);
   }
-  // Whole-file CRC first: any flip anywhere (header, section table,
-  // payloads) fails here before a single field is trusted.
+  // One pass over the bytes: walk the section table, checksum each
+  // payload once, and fold the payloads' CRCs and the framing bytes into
+  // the whole-file CRC. The table is not trusted yet — the walk only
+  // stops where it no longer parses, and whatever it did not reach is
+  // checksummed plainly — so the whole-file CRC is decided first, over
+  // every byte, before a single field is used.
   const std::string_view body(file.data(), file.size() - 4);
-  ByteReader tail(std::string_view(file).substr(file.size() - 4));
-  if (Crc32(body) != tail.U32()) {
-    return Corrupt("whole-file checksum mismatch", path);
-  }
-
+  constexpr size_t kPrefixBytes = sizeof(kMagic) + 8;  // + version + count
   ByteReader reader(body);
   reader.Bytes(sizeof(kMagic));
   const uint32_t version = reader.U32();
+  const uint32_t num_sections = reader.U32();
+  uint32_t file_crc = Crc32(body.substr(0, kPrefixBytes));
+  size_t parsed = kPrefixBytes;  // body[0, parsed) is folded into file_crc
+  std::vector<Section> sections;
+  for (uint32_t i = 0; i < num_sections; ++i) {
+    Section section;
+    section.id = reader.U32();
+    const uint64_t size = reader.U64();
+    section.stored_crc = reader.U32();
+    section.payload = reader.Bytes(static_cast<size_t>(size));
+    if (reader.failed()) break;
+    section.crc = Crc32(section.payload);
+    file_crc = Crc32Combine(
+        Crc32(body.substr(parsed, kSectionHeaderBytes), file_crc),
+        section.crc, section.payload.size());
+    parsed += kSectionHeaderBytes + section.payload.size();
+    sections.push_back(section);
+  }
+  file_crc = Crc32(body.substr(parsed), file_crc);
+  ByteReader tail(std::string_view(file).substr(file.size() - 4));
+  if (file_crc != tail.U32()) {
+    return Corrupt("whole-file checksum mismatch", path);
+  }
+
   if (version != kFormatVersion) {
     return Corrupt("unsupported format version " + std::to_string(version),
                    path);
   }
-  const uint32_t sections = reader.U32();
   std::string_view meta_blob, graph_blob, state_blob;
-  for (uint32_t i = 0; i < sections; ++i) {
-    const uint32_t id = reader.U32();
-    const uint64_t size = reader.U64();
-    const uint32_t crc = reader.U32();
-    const std::string_view payload = reader.Bytes(static_cast<size_t>(size));
-    if (reader.failed()) return Corrupt("truncated section table", path);
-    if (Crc32(payload) != crc) {
-      return Corrupt("section " + std::to_string(id) + " checksum mismatch",
-                     path);
+  for (const Section& section : sections) {
+    if (section.crc != section.stored_crc) {
+      return Corrupt(
+          "section " + std::to_string(section.id) + " checksum mismatch",
+          path);
     }
-    switch (id) {
-      case kSectionMeta: meta_blob = payload; break;
-      case kSectionGraph: graph_blob = payload; break;
-      case kSectionState: state_blob = payload; break;
+    switch (section.id) {
+      case kSectionMeta: meta_blob = section.payload; break;
+      case kSectionGraph: graph_blob = section.payload; break;
+      case kSectionState: state_blob = section.payload; break;
       default: break;  // unknown sections tolerated (forward compat)
     }
   }
+  if (reader.failed()) return Corrupt("truncated section table", path);
   if (!reader.AtEnd()) return Corrupt("trailing bytes", path);
   if (meta_blob.empty() || graph_blob.empty() || state_blob.empty()) {
     return Corrupt("missing required section", path);

@@ -430,9 +430,9 @@ TEST(LazyRowTest, PrunedSearchesBuildFewerRowsThanEager) {
 }
 
 TEST(LazyRowTest, FindMinScoreCliqueMatchesAcrossRowModes) {
-  // FindMin materializes rows for its greedy seed pass; interleave it with
-  // lazy enumeration on the same kernel object across roots to shake out
-  // stale row/degree state between modes.
+  // Pruned FindMin builds rows lazily and unpruned FindMin eagerly;
+  // interleave them with lazy enumeration on the same kernel object across
+  // roots to shake out stale row/degree state between modes.
   Graph g = testing::RandomGraph(34, 0.4, 1400);
   Dag dag(g, DegeneracyOrdering(g));
   Rng rng(1500);

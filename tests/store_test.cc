@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -192,6 +193,50 @@ TEST(Crc32Test, ChainingAtRandomSplitsMatchesOnePass) {
     const uint32_t seed = static_cast<uint32_t>(rng.Next());
     ASSERT_EQ(Crc32(b, Crc32(a)), ReferenceCrc32(all)) << "split " << split;
     ASSERT_EQ(Crc32(b, Crc32(a, seed)), ReferenceCrc32(all, seed));
+  }
+}
+
+TEST(Crc32Test, CombineMatchesConcatenation) {
+  // Crc32Combine(Crc32(a), Crc32(b), |b|) == Crc32(a + b): empty halves,
+  // every short length, random splits of buffers up to a few MB, and
+  // chains folding many pieces in a row.
+  const std::string bytes = RandomBytes(3 << 20, 7);
+  const std::string_view all(bytes);
+  for (size_t len : {size_t{0}, size_t{1}, size_t{100}}) {
+    const std::string_view data = all.substr(0, len);
+    ASSERT_EQ(Crc32Combine(Crc32(data), Crc32(""), 0), Crc32(data));
+    ASSERT_EQ(Crc32Combine(Crc32(""), Crc32(data), len), Crc32(data));
+  }
+  for (size_t len = 0; len <= 64; ++len) {
+    for (size_t split = 0; split <= len; ++split) {
+      const std::string_view a = all.substr(0, split),
+                             b = all.substr(split, len - split);
+      ASSERT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()),
+                Crc32(all.substr(0, len)))
+          << "length " << len << " split " << split;
+    }
+  }
+  Rng rng(3);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t len = rng.NextBounded(bytes.size() + 1);
+    const size_t split = rng.NextBounded(len + 1);
+    const std::string_view a = all.substr(0, split),
+                           b = all.substr(split, len - split);
+    ASSERT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()),
+              Crc32(all.substr(0, len)))
+        << "length " << len << " split " << split;
+  }
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng cuts(seed);
+    uint32_t chained = 0;
+    size_t at = 0;
+    while (at < bytes.size()) {
+      const size_t piece =
+          std::min<size_t>(cuts.NextBounded(1 << 18), bytes.size() - at);
+      chained = Crc32Combine(chained, Crc32(all.substr(at, piece)), piece);
+      at += piece;
+    }
+    ASSERT_EQ(chained, Crc32(all)) << "seed " << seed;
   }
 }
 
@@ -600,11 +645,14 @@ TEST(SnapshotTest, BitFlipAnywhereIsCorruption) {
   const std::string clean = ReadFileBytes(path);
   ASSERT_GT(clean.size(), 24u);
 
-  // Flip one bit at a stride of byte positions covering the header, every
-  // section, and the trailing CRC. The whole-file checksum must catch all
-  // of them — a damaged snapshot is never loaded.
+  // Flip one bit in every byte of the file header and the first section
+  // (its header and the meta payload), then at a stride of byte positions
+  // covering every other section and the trailing CRC. The whole-file
+  // checksum must catch all of them — a damaged snapshot is never loaded
+  // — and it is checked before anything but the magic, so it is what
+  // every flip past the magic reports.
   const size_t stride = std::max<size_t>(1, clean.size() / 211);
-  for (size_t i = 0; i < clean.size(); i += stride) {
+  for (size_t i = 0; i < clean.size(); i += i < 64 ? 1 : stride) {
     std::string damaged = clean;
     damaged[i] = static_cast<char>(damaged[i] ^ 0x04);
     WriteFileBytes(path, damaged);
@@ -612,6 +660,10 @@ TEST(SnapshotTest, BitFlipAnywhereIsCorruption) {
     ASSERT_FALSE(result.ok()) << "byte " << i << " of " << clean.size();
     EXPECT_EQ(result.status().code(), Status::Code::kCorruption)
         << "byte " << i;
+    const std::string expected =
+        i < 8 ? "bad magic" : "whole-file checksum mismatch";
+    EXPECT_NE(result.status().message().find(expected), std::string::npos)
+        << "byte " << i << ": " << result.status().ToString();
   }
   std::remove(path.c_str());
 }
@@ -684,6 +736,96 @@ TEST(SnapshotTest, SlotFlagByteCarriesIncompleteAndRefusesTheRest) {
     auto refused = load(at, flags);
     ASSERT_FALSE(refused.ok()) << "flags " << int{flags};
     EXPECT_EQ(refused.status().code(), Status::Code::kCorruption);
+  }
+}
+
+TEST(SnapshotTest, CandidateThatIsNotACliqueIsRefused) {
+  // The load-time candidate check probes only pairs with a free node and
+  // takes the owner's pairs as proven, so rewrite one alive candidate
+  // node in the state blob to break each kind of pair it must still see.
+  // Triangle {0,1,2} is packed; free 3 ~ {0,1,4} and free 4 ~ {0,3} make
+  // candidates {0,1,3} and {0,3,4}; free 5 ~ {0} only.
+  GraphBuilder builder;
+  for (const auto& [u, v] : {std::pair<NodeId, NodeId>{0, 1}, {0, 2}, {1, 2},
+                             {0, 3}, {1, 3}, {0, 4}, {3, 4}, {0, 5}}) {
+    builder.AddEdge(u, v);
+  }
+  const Graph g = builder.Build();
+  SolutionState state(DynamicGraph(g), 3, std::vector<Count>(6, 1));
+  const NodeId packed[] = {0, 1, 2};
+  state.AddSolutionClique(packed);
+  state.RebuildAllCandidates();
+  ASSERT_EQ(state.num_alive_candidates(), 2u);
+  std::string graph_bytes, state_bytes;
+  state.SerializeGraphTo(&graph_bytes);
+  state.SerializeStateTo(&state_bytes);
+  ASSERT_TRUE(SolutionState::Deserialize(graph_bytes, state_bytes).ok());
+
+  // Walk to the candidate table: version, k, n, scores, node_to_clique,
+  // the clique table and its free-slot stack.
+  ByteReader reader(state_bytes);
+  reader.U32();
+  reader.U32();
+  const uint64_t n = reader.U64();
+  for (uint64_t i = 0; i < n; ++i) reader.U64();
+  for (uint64_t i = 0; i < n; ++i) reader.U32();
+  const uint64_t num_slots = reader.U64();
+  for (uint64_t slot = 0; slot < num_slots; ++slot) {
+    reader.U8();
+    reader.U32();
+    const uint32_t nodes = reader.U32();
+    for (uint32_t i = 0; i < nodes; ++i) reader.U32();
+    const uint64_t refs = reader.U64();
+    for (uint64_t i = 0; i < refs; ++i) reader.U64();
+  }
+  const uint64_t free_slots = reader.U64();
+  for (uint64_t i = 0; i < free_slots; ++i) reader.U32();
+  // Byte offset of each alive candidate's node, keyed by the sorted node
+  // set and the node id.
+  std::map<std::vector<NodeId>, std::map<NodeId, size_t>> node_at;
+  const uint64_t num_cands = reader.U64();
+  for (uint64_t c = 0; c < num_cands; ++c) {
+    const bool alive = reader.U8() != 0;
+    reader.U32();
+    reader.U32();
+    reader.U64();
+    const uint32_t nodes = reader.U32();
+    std::vector<NodeId> members;
+    std::map<NodeId, size_t> offsets;
+    for (uint32_t i = 0; i < nodes; ++i) {
+      const size_t at = state_bytes.size() - reader.remaining();
+      members.push_back(reader.U32());
+      offsets[members.back()] = at;
+    }
+    std::sort(members.begin(), members.end());
+    if (alive) node_at[members] = offsets;
+  }
+  ASSERT_FALSE(reader.failed());
+  const std::vector<NodeId> owner_free{0, 1, 3}, two_free{0, 3, 4};
+  ASSERT_EQ(node_at.count(owner_free), 1u);
+  ASSERT_EQ(node_at.count(two_free), 1u);
+
+  struct Rewrite {
+    const char* what;
+    std::vector<NodeId> cand;
+    NodeId from, to;
+  };
+  for (const Rewrite& rewrite :
+       {Rewrite{"free node not adjacent to an owner node", owner_free, 3, 5},
+        Rewrite{"two free nodes not adjacent", two_free, 4, 5},
+        Rewrite{"owner node repeated", owner_free, 1, 0}}) {
+    SCOPED_TRACE(rewrite.what);
+    std::string bytes = state_bytes;
+    const size_t at = node_at[rewrite.cand].at(rewrite.from);
+    std::string id;
+    PutU32(&id, rewrite.to);
+    bytes.replace(at, id.size(), id);
+    auto refused = SolutionState::Deserialize(graph_bytes, bytes);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), Status::Code::kCorruption);
+    EXPECT_NE(refused.status().message().find("candidate is not a clique"),
+              std::string::npos)
+        << refused.status().ToString();
   }
 }
 

@@ -29,8 +29,10 @@ StatusOr<SolveResult> SolveGc(const Graph& g, const GcOptions& options) {
   // pass fills both (chunks of roots on the pool via ParallelChunks, drained
   // in ascending chunk order); the store is the memory hazard the budget
   // guards.
-  Dag dag(g, options.orientation != nullptr ? *options.orientation
-                                            : DegeneracyOrdering(g));
+  Dag dag(g,
+          options.orientation != nullptr ? *options.orientation
+                                         : DegeneracyOrdering(g),
+          options.pool);
   CliqueStore all(options.k);
   std::vector<Count> node_scores(g.num_nodes(), 0);
   {

@@ -1,8 +1,9 @@
 #include "core/lightweight.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
-#include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -39,8 +40,9 @@ class MinCliqueFinder {
   }
 
   /// Returns true iff some k-clique rooted at `u` exists among valid nodes;
-  /// fills the minimum-score one (root first) and its clique score.
-  bool FindRooted(NodeId u, std::vector<NodeId>* clique, Count* clique_score) {
+  /// writes the minimum-score one (root first) to clique[0..k) and its
+  /// clique score. `clique` is left untouched on failure.
+  bool FindRooted(NodeId u, NodeId* clique, Count* clique_score) {
     if (dag_.OutDegree(u) + 1 < static_cast<Count>(k_)) return false;
     kernel_.BuildFromRoot(dag_, u, valid_.data());
     if (kernel_.size() + 1 < static_cast<NodeId>(k_)) return false;
@@ -48,9 +50,8 @@ class MinCliqueFinder {
                                     &rest_, clique_score)) {
       return false;
     }
-    clique->clear();
-    clique->push_back(u);
-    clique->insert(clique->end(), rest_.begin(), rest_.end());
+    clique[0] = u;
+    std::copy(rest_.begin(), rest_.end(), clique + 1);
     return true;
   }
 
@@ -64,19 +65,11 @@ class MinCliqueFinder {
   std::vector<NodeId> rest_;
 };
 
-struct HeapEntry {
-  Count score;
-  NodeId root_rank;  // rank of nodes[0]; deterministic tie-break
-  std::vector<NodeId> nodes;
-};
-
-struct HeapCompare {
-  // std::priority_queue is a max-heap; invert for min-by-(score, rank).
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    if (a.score != b.score) return a.score > b.score;
-    return a.root_rank > b.root_rank;
-  }
-};
+// A queue key: (root's current minimum clique score, root's rank). Ranks
+// are unique and the queue never holds two keys for one root, so keys are
+// unique: the pop order is fixed whatever order the keys were loaded in.
+using HeapKey = std::pair<Count, NodeId>;
+using MinFirst = std::greater<HeapKey>;  // std heaps are max-heaps
 
 }  // namespace
 
@@ -96,9 +89,10 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
   bool oot = false;
   NodeScores scores;
   {
-    Dag counting_dag(g, options.orientation != nullptr
-                            ? *options.orientation
-                            : DegeneracyOrdering(g));
+    Dag counting_dag(g,
+                     options.orientation != nullptr ? *options.orientation
+                                                    : DegeneracyOrdering(g),
+                     options.pool);
     scores = ComputeNodeScores(counting_dag, options.k, options.pool, deadline,
                                &oot);
   }
@@ -106,23 +100,29 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
   result.stats.cliques_listed = scores.total_cliques;
 
   // Lines 3-4: score-ascending total order and its DAG.
-  Dag dag(g, OrderByKeyAscending(scores.per_node));
+  Dag dag(g, OrderByKeyAscending(scores.per_node), options.pool);
+  const std::vector<NodeId>& by_rank = dag.ordering().nodes;
   std::vector<uint8_t> valid(g.num_nodes(), 1);
 
+  // Each root's current local-minimum clique lives in its row of one flat
+  // n x k slab; the queue holds only (score, rank) keys, so no entry
+  // allocates and no pop copies a clique.
+  const size_t k = static_cast<size_t>(options.k);
+  std::vector<NodeId> slab(static_cast<size_t>(g.num_nodes()) * k);
+  std::vector<HeapKey> heap;
+
   // Lines 5-6, HeapInit: one local-minimum clique per root, in parallel via
-  // ParallelChunks (uniform pool scheduling + deadline checks).
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCompare> heap;
+  // ParallelChunks (uniform pool scheduling + deadline checks). Each worker
+  // writes the slab rows of the roots it drives and collects their keys;
+  // the merged keys are heapified once.
   {
-    std::vector<HeapEntry> initial;
     struct State {
       // Heap-owned arena: its address is stable across State moves, so the
       // finder's kernel can borrow it (one arena per worker, reused across
       // every root the worker drives).
       std::unique_ptr<KernelArena> arena;
       MinCliqueFinder finder;
-      std::vector<NodeId> clique;
-      Count clique_score = 0;
-      std::vector<HeapEntry> found;
+      std::vector<HeapKey> found;
     };
     const bool completed = ParallelChunks(
         options.pool, g.num_nodes(), deadline,
@@ -132,25 +132,22 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
           return State{std::move(arena),
                        MinCliqueFinder(dag, valid, scores.per_node, options.k,
                                        options.enable_score_pruning, raw),
-                       {},
-                       0,
                        {}};
         },
         [&](size_t, NodeId begin, NodeId end, State* s) {
+          Count score = 0;
           for (NodeId u = begin; u < end; ++u) {
-            if (dag.OutDegree(u) + 1 < static_cast<Count>(options.k)) continue;
-            if (s->finder.FindRooted(u, &s->clique, &s->clique_score)) {
-              s->found.push_back(HeapEntry{
-                  s->clique_score, dag.ordering().rank[u], s->clique});
+            if (s->finder.FindRooted(u, &slab[u * k], &score)) {
+              s->found.emplace_back(score, dag.ordering().rank[u]);
             }
           }
           return true;
         },
         [&](State* s) {
-          for (auto& e : s->found) initial.push_back(std::move(e));
+          heap.insert(heap.end(), s->found.begin(), s->found.end());
         });
     if (!completed) return Status::TimeBudgetExceeded("lightweight heap init");
-    for (auto& e : initial) heap.push(std::move(e));
+    std::make_heap(heap.begin(), heap.end(), MinFirst());
   }
   result.stats.init_ms = timer.ElapsedMillis();
   timer.Restart();
@@ -159,47 +156,40 @@ StatusOr<SolveResult> SolveLightweight(const Graph& g,
   {
     MinCliqueFinder finder(dag, valid, scores.per_node, options.k,
                            options.enable_score_pruning);
-    std::vector<NodeId> clique;
-    Count clique_score = 0;
+    Count score = 0;
     uint64_t pops = 0;
     while (!heap.empty()) {
       if ((++pops & 0xFF) == 0 && deadline.Expired()) {
         return Status::TimeBudgetExceeded("lightweight calculation loop");
       }
-      HeapEntry top = heap.top();
-      heap.pop();
-      bool fresh = true;
-      for (NodeId v : top.nodes) {
-        if (!valid[v]) {
-          fresh = false;
-          break;
-        }
-      }
+      std::pop_heap(heap.begin(), heap.end(), MinFirst());
+      const NodeId rank = heap.back().second;
+      heap.pop_back();
+      const NodeId root = by_rank[rank];
+      NodeId* clique = &slab[root * k];
+      const bool fresh = std::all_of(clique, clique + k,
+                                     [&](NodeId v) { return valid[v] != 0; });
       if (fresh) {  // lines 34-35
-        for (NodeId v : top.nodes) valid[v] = 0;
-        result.set.Add(top.nodes);
+        for (size_t i = 0; i < k; ++i) valid[clique[i]] = 0;
+        result.set.Add(std::span<const NodeId>(clique, k));
         continue;
       }
-      const NodeId root = top.nodes[0];
-      if (valid[root] &&
-          dag.OutDegree(root) + 1 >= static_cast<Count>(options.k)) {
-        // Lines 37-39: refresh the local minimum for this root.
-        if (finder.FindRooted(root, &clique, &clique_score)) {
-          heap.push(
-              HeapEntry{clique_score, dag.ordering().rank[root], clique});
-        }
+      // Lines 37-39: refresh the local minimum for this root.
+      if (valid[root] && finder.FindRooted(root, clique, &score)) {
+        heap.emplace_back(score, rank);
+        std::push_heap(heap.begin(), heap.end(), MinFirst());
       }
     }
   }
 
   result.stats.compute_ms = timer.ElapsedMillis();
+  // The heap's share is the n x k slab plus the (score, rank) key array.
   result.stats.structure_bytes =
       g.MemoryBytes() + dag.MemoryBytes() +
       static_cast<int64_t>(scores.per_node.capacity() * sizeof(Count)) +
       static_cast<int64_t>(valid.capacity()) +
-      static_cast<int64_t>(g.num_nodes()) *
-          static_cast<int64_t>(sizeof(HeapEntry) +
-                               options.k * sizeof(NodeId)) +
+      static_cast<int64_t>(slab.capacity() * sizeof(NodeId)) +
+      static_cast<int64_t>(heap.capacity() * sizeof(HeapKey)) +
       result.set.MemoryBytes();
   result.node_scores = std::move(scores.per_node);
   return result;

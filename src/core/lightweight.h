@@ -7,10 +7,12 @@
 //   2. nodes are ordered ascending by score; the graph is oriented into a
 //      DAG along that order;
 //   3. for every root u, FindMin extracts the *locally* minimum-score clique
-//      inside the valid part of N+(u); the local minima sit in a global
-//      min-heap;
-//   4. Calculation pops the global minimum; stale entries (a node was
-//      consumed since push) trigger a lazy FindMin re-run for their root.
+//      inside the valid part of N+(u) into u's row of one flat n x k slab;
+//      a global min-heap holds only (clique score, root rank) keys, one per
+//      root, built with a single make_heap;
+//   4. Calculation pops the global minimum; a stale root (a node of its
+//      slab row was consumed since its key was pushed) gets a lazy FindMin
+//      re-run that overwrites the row in place and pushes a new key.
 //
 // The score-driven pruning (LP) cuts FindMin branches whose running score
 // sum already reaches the best local clique score found — the optimization
@@ -37,8 +39,8 @@ struct LightweightOptions {
   /// order and the solution, do not depend on it. Must outlive the call.
   const Ordering* orientation = nullptr;
   Budget budget;
-  /// Optional pool for the scoring pass and HeapInit (both "in parallel" in
-  /// the paper's pseudocode).
+  /// Optional pool for the two DAG builds, the scoring pass and HeapInit
+  /// (the latter two "in parallel" in the paper's pseudocode).
   ThreadPool* pool = nullptr;
 };
 

@@ -27,8 +27,10 @@ StatusOr<SolveResult> SolveOpt(const Graph& g, const OptOptions& options) {
   // Step 1: all k-cliques, materialized (chunks of roots on the pool via
   // ParallelChunks, drained in ascending chunk order, so clique ids match the
   // serial enumeration exactly).
-  Dag dag(g, options.orientation != nullptr ? *options.orientation
-                                            : DegeneracyOrdering(g));
+  Dag dag(g,
+          options.orientation != nullptr ? *options.orientation
+                                         : DegeneracyOrdering(g),
+          options.pool);
   CliqueStore all(options.k);
   {
     const Status listed = ListKCliques(dag, options.k, options.pool, deadline,

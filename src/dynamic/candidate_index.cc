@@ -384,6 +384,9 @@ bool SolutionState::CheckInvariants(std::string* error) const {
     if (!cand.alive) continue;
     ++alive_cands;
     if (!SlotAlive(cand.owner)) return fail("candidate with dead owner");
+    if (cand.nodes.size() != static_cast<size_t>(k_)) {
+      return fail("candidate of wrong size");
+    }
     int free_nodes = 0;
     for (size_t a = 0; a < cand.nodes.size(); ++a) {
       const NodeId u = cand.nodes[a];

@@ -31,7 +31,7 @@ std::pair<std::unique_ptr<SolutionState>, double> SeedState(
     std::vector<Count> node_scores, const DynamicOptions& options) {
   Timer timer;
   if (node_scores.empty()) {
-    Dag dag(g, DegeneracyOrdering(g));
+    Dag dag(g, DegeneracyOrdering(g), options.pool);
     node_scores = ComputeNodeScores(dag, options.k, options.pool).per_node;
   }
   auto state = std::make_unique<SolutionState>(DynamicGraph(g), options.k,

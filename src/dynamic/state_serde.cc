@@ -137,15 +137,36 @@ StatusOr<std::unique_ptr<SolutionState>> SolutionState::Deserialize(
   std::vector<NodeId> neighbors(entries);
   for (auto& v : neighbors) v = gr.U32();
   if (!gr.AtEnd()) return Corrupt("graph blob size mismatch");
+  // Rows are validated and the CSR checked for symmetry in one O(m) pass,
+  // with no per-edge search. cursor[v] walks row v's entries below v, one
+  // step per row u < v that lists v (rows run in ascending u), so row u's
+  // entry v > u must be row v's next unmatched entry, and once row u is
+  // done its cursor must sit on its first entry above u. A cursor pushed
+  // past that point fails the second check, so bounding it by `entries`
+  // alone keeps every read in range.
+  std::vector<Count> cursor(offsets.begin(), offsets.end() - 1);
   for (NodeId u = 0; u < n; ++u) {
-    for (Count i = offsets[u]; i < offsets[u + 1]; ++i) {
-      if (neighbors[i] >= n || neighbors[i] == u) {
-        return Corrupt("neighbor id out of range");
-      }
-      if (i > offsets[u] && neighbors[i] <= neighbors[i - 1]) {
+    const Count begin = offsets[u];
+    const Count end = offsets[u + 1];
+    Count i = begin;
+    for (; i < end && neighbors[i] < u; ++i) {
+      if (i > begin && neighbors[i] <= neighbors[i - 1]) {
         return Corrupt("adjacency row not sorted/unique");
       }
     }
+    const Count first_above = i;
+    for (; i < end; ++i) {
+      const NodeId v = neighbors[i];
+      if (v >= n || v == u) return Corrupt("neighbor id out of range");
+      if (i > begin && v <= neighbors[i - 1]) {
+        return Corrupt("adjacency row not sorted/unique");
+      }
+      if (cursor[v] == entries || neighbors[cursor[v]] != u) {
+        return Corrupt("adjacency not symmetric");
+      }
+      ++cursor[v];
+    }
+    if (cursor[u] != first_above) return Corrupt("adjacency not symmetric");
   }
   Graph csr(std::move(offsets), std::move(neighbors));
 

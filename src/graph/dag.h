@@ -19,13 +19,18 @@
 
 namespace dkc {
 
+class ThreadPool;
+
 class Dag {
  public:
   Dag() = default;
 
   /// Orients `g` along `ordering`. Out-neighbor lists are sorted by node id
-  /// so clique recursions can intersect them with two-pointer merges.
-  Dag(const Graph& g, Ordering ordering);
+  /// so clique recursions can intersect them with two-pointer merges. With
+  /// a `pool`, the out-degree count and the out-list fill run on it via
+  /// ParallelChunks (the prefix sum between them stays serial); the result
+  /// is identical with or without one.
+  Dag(const Graph& g, Ordering ordering, ThreadPool* pool = nullptr);
 
   NodeId num_nodes() const {
     return offsets_.empty() ? 0 : static_cast<NodeId>(offsets_.size() - 1);

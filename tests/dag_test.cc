@@ -6,6 +6,7 @@
 
 #include "graph/ordering.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace dkc {
 namespace {
@@ -67,6 +68,32 @@ TEST(DagTest, DegeneracyOrientationBoundsOutDegree) {
   Graph g = testing::RandomGraph(60, 0.2, /*seed=*/24);
   Dag dag(g, DegeneracyOrdering(g));
   EXPECT_LE(dag.MaxOutDegree(), Degeneracy(g));
+}
+
+TEST(DagTest, PooledBuildMatchesSerial) {
+  // Sizes below 2 * workers run the pooled build inline; the rest split
+  // the count and fill passes into chunks across the workers.
+  ThreadPool pool(4);
+  for (const NodeId n : {0u, 1u, 3u, 7u, 8u, 9u, 50u, 700u}) {
+    Graph g = testing::RandomGraph(n, n < 50 ? 0.5 : 0.05, /*seed=*/25 + n);
+    for (const Ordering& ordering :
+         {DegeneracyOrdering(g), IdentityOrdering(n)}) {
+      const Dag serial(g, ordering);
+      const Dag pooled(g, ordering, &pool);
+      ASSERT_EQ(pooled.num_nodes(), serial.num_nodes()) << "n=" << n;
+      EXPECT_EQ(pooled.MaxOutDegree(), serial.MaxOutDegree()) << "n=" << n;
+      for (NodeId u = 0; u < n; ++u) {
+        const auto a = serial.OutNeighbors(u);
+        const auto b = pooled.OutNeighbors(u);
+        ASSERT_EQ(pooled.OutDegree(u), serial.OutDegree(u));
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << "n=" << n << " u=" << u;
+        EXPECT_EQ(a.data() - serial.OutNeighbors(0).data(),
+                  b.data() - pooled.OutNeighbors(0).data())
+            << "offset of u=" << u;
+      }
+    }
+  }
 }
 
 TEST(DagTest, EmptyGraph) {

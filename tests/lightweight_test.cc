@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/basic_framework.h"
 #include "core/gc_solver.h"
 #include "core/opt_solver.h"
 #include "core/verify.h"
+#include "gen/generators.h"
 #include "gen/named_graphs.h"
+#include "graph/ordering.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace dkc {
 namespace {
@@ -21,6 +27,92 @@ LightweightOptions Opts(int k, bool prune) {
   o.enable_score_pruning = prune;
   return o;
 }
+
+// The solution's cliques back to back, in commit order and member order.
+std::vector<NodeId> Flatten(const CliqueStore& set) {
+  std::vector<NodeId> flat;
+  for (CliqueId c = 0; c < set.size(); ++c) {
+    auto nodes = set.Get(c);
+    flat.insert(flat.end(), nodes.begin(), nodes.end());
+  }
+  return flat;
+}
+
+// Algorithm 3's selection rule run eagerly, with no heap and no caching:
+// every step recomputes each valid root's minimum-score clique from
+// scratch and commits the global minimum by (clique score, root rank).
+// A root's candidates are the k-cliques with the root ranked highest; its
+// search walks them depth-first, each level over the valid out-neighbours
+// (lower rank) of the level above in ascending node id, and keeps the
+// first clique of the lowest score, the order the lazy solver's FindMin
+// breaks ties in. Cliques are emitted root first, then in DFS order.
+class EagerReference {
+ public:
+  EagerReference(const Graph& g, int k)
+      : n_(g.num_nodes()),
+        k_(k),
+        scores_(testing::BruteForceNodeScores(g, k)),
+        rank_(OrderByKeyAscending(scores_).rank),
+        adj_(static_cast<size_t>(n_) * n_, 0),
+        valid_(n_, 1) {
+    for (NodeId u = 0; u < n_; ++u) {
+      for (NodeId v : g.Neighbors(u)) adj_[u * n_ + v] = 1;
+    }
+  }
+
+  std::vector<NodeId> Solve() {
+    std::vector<NodeId> committed;
+    while (true) {
+      std::optional<std::pair<std::pair<Count, NodeId>, std::vector<NodeId>>>
+          best;
+      for (NodeId u = 0; u < n_; ++u) {
+        if (!valid_[u]) continue;
+        best_score_.reset();
+        path_.assign(1, u);
+        Search(u, scores_[u]);
+        if (!best_score_) continue;
+        const std::pair<Count, NodeId> key{*best_score_, rank_[u]};
+        if (!best || key < best->first) best.emplace(key, best_clique_);
+      }
+      if (!best) return committed;
+      for (NodeId v : best->second) valid_[v] = 0;
+      committed.insert(committed.end(), best->second.begin(),
+                       best->second.end());
+    }
+  }
+
+ private:
+  // Extends path_ (last node `top`, running score `sum`) by valid
+  // out-neighbours of `top` that are adjacent to every node on the path.
+  void Search(NodeId top, Count sum) {
+    if (path_.size() == static_cast<size_t>(k_)) {
+      if (!best_score_ || sum < *best_score_) {
+        best_score_ = sum;
+        best_clique_ = path_;
+      }
+      return;
+    }
+    for (NodeId v = 0; v < n_; ++v) {
+      if (!valid_[v] || rank_[v] >= rank_[top]) continue;
+      bool joins = true;
+      for (NodeId w : path_) joins = joins && adj_[w * n_ + v];
+      if (!joins) continue;
+      path_.push_back(v);
+      Search(v, sum + scores_[v]);
+      path_.pop_back();
+    }
+  }
+
+  NodeId n_;
+  int k_;
+  std::vector<Count> scores_;
+  std::vector<NodeId> rank_;
+  std::vector<uint8_t> adj_;
+  std::vector<uint8_t> valid_;
+  std::vector<NodeId> path_;
+  std::optional<Count> best_score_;
+  std::vector<NodeId> best_clique_;
+};
 
 TEST(LightweightTest, RejectsKBelow3) {
   EXPECT_FALSE(SolveLightweight(PaperFig2Graph(), Opts(2, true)).ok());
@@ -94,14 +186,49 @@ TEST(LightweightTest, RecoversPlantedPacking) {
 }
 
 TEST(LightweightTest, ParallelHeapInitMatchesSerial) {
-  Graph g = testing::RandomGraph(3000, 0.008, /*seed=*/91);
-  auto serial = SolveLightweight(g, Opts(3, true));
-  LightweightOptions par = Opts(3, true);
-  ThreadPool pool(4);
-  par.pool = &pool;
-  auto parallel = SolveLightweight(g, par);
-  ASSERT_TRUE(serial.ok() && parallel.ok());
-  EXPECT_EQ(serial->size(), parallel->size());
+  // Pooled HeapInit writes each root's slab row from whichever worker
+  // drives it and heapifies the merged keys; the committed cliques must
+  // not depend on the pool, byte for byte.
+  // A clustered graph, so every k in 3..5 packs thousands of cliques.
+  Rng rng(91);
+  auto ws = WattsStrogatz(3000, 12, 0.1, rng);
+  ASSERT_TRUE(ws.ok());
+  const Graph& g = *ws;
+  ThreadPool one(1), two(2), four(4);
+  for (int k = 3; k <= 5; ++k) {
+    auto serial = SolveLightweight(g, Opts(k, true));
+    ASSERT_TRUE(serial.ok());
+    ASSERT_GT(serial->size(), 100u) << "k=" << k;
+    const std::vector<NodeId> expected = Flatten(serial->set);
+    for (ThreadPool* pool : {&one, &two, &four}) {
+      LightweightOptions par = Opts(k, true);
+      par.pool = pool;
+      auto parallel = SolveLightweight(g, par);
+      ASSERT_TRUE(parallel.ok());
+      EXPECT_EQ(Flatten(parallel->set), expected)
+          << "k=" << k << " threads=" << pool->num_threads();
+    }
+  }
+}
+
+TEST(LightweightTest, MatchesEagerReference) {
+  // The lazy heap refreshes a root only when its popped clique went stale;
+  // the eager reference recomputes every root every step. They commit the
+  // same cliques in the same order, with the same member order.
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    const NodeId n = static_cast<NodeId>(20 + 4 * (seed % 11));
+    const double p = 0.2 + 0.05 * static_cast<double>(seed % 5);
+    Graph g = testing::RandomGraph(n, p, seed + 1200);
+    for (int k = 3; k <= 5; ++k) {
+      const std::vector<NodeId> expected = EagerReference(g, k).Solve();
+      for (bool prune : {false, true}) {
+        auto result = SolveLightweight(g, Opts(k, prune));
+        ASSERT_TRUE(result.ok());
+        EXPECT_EQ(Flatten(result->set), expected)
+            << "n=" << n << " p=" << p << " k=" << k << " prune=" << prune;
+      }
+    }
+  }
 }
 
 TEST(LightweightTest, ExpiredBudgetIsOot) {

@@ -739,6 +739,30 @@ TEST(SnapshotTest, SlotFlagByteCarriesIncompleteAndRefusesTheRest) {
   }
 }
 
+// A reader over `state_bytes` positioned at the candidate table's count,
+// past version, k, n, scores, node_to_clique, the clique table and its
+// free-slot stack.
+ByteReader ReaderAtCandidateTable(std::string_view state_bytes) {
+  ByteReader reader(state_bytes);
+  reader.U32();
+  reader.U32();
+  const uint64_t n = reader.U64();
+  for (uint64_t i = 0; i < n; ++i) reader.U64();
+  for (uint64_t i = 0; i < n; ++i) reader.U32();
+  const uint64_t num_slots = reader.U64();
+  for (uint64_t slot = 0; slot < num_slots; ++slot) {
+    reader.U8();
+    reader.U32();
+    const uint32_t nodes = reader.U32();
+    for (uint32_t i = 0; i < nodes; ++i) reader.U32();
+    const uint64_t refs = reader.U64();
+    for (uint64_t i = 0; i < refs; ++i) reader.U64();
+  }
+  const uint64_t free_slots = reader.U64();
+  for (uint64_t i = 0; i < free_slots; ++i) reader.U32();
+  return reader;
+}
+
 TEST(SnapshotTest, CandidateThatIsNotACliqueIsRefused) {
   // The load-time candidate check probes only pairs with a free node and
   // takes the owner's pairs as proven, so rewrite one alive candidate
@@ -761,25 +785,7 @@ TEST(SnapshotTest, CandidateThatIsNotACliqueIsRefused) {
   state.SerializeStateTo(&state_bytes);
   ASSERT_TRUE(SolutionState::Deserialize(graph_bytes, state_bytes).ok());
 
-  // Walk to the candidate table: version, k, n, scores, node_to_clique,
-  // the clique table and its free-slot stack.
-  ByteReader reader(state_bytes);
-  reader.U32();
-  reader.U32();
-  const uint64_t n = reader.U64();
-  for (uint64_t i = 0; i < n; ++i) reader.U64();
-  for (uint64_t i = 0; i < n; ++i) reader.U32();
-  const uint64_t num_slots = reader.U64();
-  for (uint64_t slot = 0; slot < num_slots; ++slot) {
-    reader.U8();
-    reader.U32();
-    const uint32_t nodes = reader.U32();
-    for (uint32_t i = 0; i < nodes; ++i) reader.U32();
-    const uint64_t refs = reader.U64();
-    for (uint64_t i = 0; i < refs; ++i) reader.U64();
-  }
-  const uint64_t free_slots = reader.U64();
-  for (uint64_t i = 0; i < free_slots; ++i) reader.U32();
+  ByteReader reader = ReaderAtCandidateTable(state_bytes);
   // Byte offset of each alive candidate's node, keyed by the sorted node
   // set and the node id.
   std::map<std::vector<NodeId>, std::map<NodeId, size_t>> node_at;
@@ -827,6 +833,135 @@ TEST(SnapshotTest, CandidateThatIsNotACliqueIsRefused) {
               std::string::npos)
         << refused.status().ToString();
   }
+}
+
+// Rewrites the snapshot file at `path` with section `id`'s payload
+// replaced by `payload`, resealing that section's CRC and the whole-file
+// CRC, so the edit reaches the loader's semantic checks.
+void ReplaceSectionAndReseal(const std::string& path, uint32_t id,
+                             const std::string& payload) {
+  const std::string clean = ReadFileBytes(path);
+  ByteReader reader(std::string_view(clean).substr(8));
+  const uint32_t version = reader.U32();
+  const uint32_t count = reader.U32();
+  std::string file = clean.substr(0, 8);
+  PutU32(&file, version);
+  PutU32(&file, count);
+  for (uint32_t s = 0; s < count; ++s) {
+    const uint32_t section = reader.U32();
+    const uint64_t size = reader.U64();
+    reader.U32();
+    const size_t at = clean.size() - reader.remaining();
+    std::string body = clean.substr(at, static_cast<size_t>(size));
+    for (uint64_t i = 0; i < size; ++i) reader.U8();
+    if (section == id) body = payload;
+    PutU32(&file, section);
+    PutU64(&file, body.size());
+    PutU32(&file, Crc32(body));
+    file += body;
+  }
+  ASSERT_FALSE(reader.failed());
+  PutU32(&file, Crc32(file));
+  WriteFileBytes(path, file);
+}
+
+constexpr uint32_t kGraphSection = 2;
+constexpr uint32_t kStateSection = 3;
+
+TEST(SnapshotTest, CandidateOfWrongSizeIsRefused) {
+  // Triangle {0,1,2} is packed at k=3 and free 3 ~ {0,1} makes candidate
+  // {0,1,3}. Dropping node 1 from it leaves {3,0}: still a clique with one
+  // free node, but a 2-node candidate that a swap would pack as a short
+  // "clique". The loader must refuse it like a solution clique of the
+  // wrong size.
+  GraphBuilder builder;
+  for (const auto& [u, v] : {std::pair<NodeId, NodeId>{0, 1}, {0, 2}, {1, 2},
+                             {0, 3}, {1, 3}}) {
+    builder.AddEdge(u, v);
+  }
+  const Graph g = builder.Build();
+  SolutionState state(DynamicGraph(g), 3, std::vector<Count>(4, 1));
+  const NodeId packed[] = {0, 1, 2};
+  state.AddSolutionClique(packed);
+  state.RebuildAllCandidates();
+  ASSERT_EQ(state.num_alive_candidates(), 1u);
+  const std::string path = TempPath("dkc_snap_short_cand.bin");
+  ASSERT_TRUE(WriteSnapshot(state, 0, path).ok());
+  ASSERT_TRUE(ReadSnapshot(path).ok());
+  std::string state_bytes;
+  state.SerializeStateTo(&state_bytes);
+
+  ByteReader reader = ReaderAtCandidateTable(state_bytes);
+  ASSERT_EQ(reader.U64(), 1u);  // one candidate slot
+  ASSERT_EQ(reader.U8(), 1u);   // alive
+  reader.U32();
+  reader.U32();
+  reader.U64();
+  const size_t count_at = state_bytes.size() - reader.remaining();
+  ASSERT_EQ(reader.U32(), 3u);
+  std::vector<NodeId> members;
+  for (int i = 0; i < 3; ++i) members.push_back(reader.U32());
+  ASSERT_FALSE(reader.failed());
+  std::vector<NodeId> sorted = members;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(sorted, (std::vector<NodeId>{0, 1, 3}));
+
+  std::string shortened = state_bytes.substr(0, count_at);
+  PutU32(&shortened, 2);
+  for (NodeId u : members) {
+    if (u != 1) PutU32(&shortened, u);
+  }
+  shortened += state_bytes.substr(count_at + 16);
+  ReplaceSectionAndReseal(path, kStateSection, shortened);
+  auto refused = ReadSnapshot(path);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(refused.status().message().find("candidate of wrong size"),
+            std::string::npos)
+      << refused.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, AsymmetricAdjacencyIsRefused) {
+  // Edge {0,1} on three nodes: offsets 0,1,2,2 and entries 1,0. Moving the
+  // second entry from row 1 to row 2 (offsets 0,1,1,2) gives row 0 = {1},
+  // row 1 = {}, row 2 = {0}: every row is sorted and in range, and the
+  // entry count is unchanged, but no row lists its mirror.
+  GraphBuilder builder;
+  builder.AddEdge(0, 1);
+  builder.EnsureNode(2);
+  const Graph g = builder.Build();
+  ASSERT_EQ(g.num_nodes(), 3u);
+  SolutionState state(DynamicGraph(g), 3, std::vector<Count>(3, 0));
+  const std::string path = TempPath("dkc_snap_asymmetric.bin");
+  ASSERT_TRUE(WriteSnapshot(state, 0, path).ok());
+  ASSERT_TRUE(ReadSnapshot(path).ok());
+  std::string graph_bytes;
+  state.SerializeGraphTo(&graph_bytes);
+
+  // Graph blob: version, n, entries, offsets[n + 1], neighbors.
+  ByteReader reader(graph_bytes);
+  reader.U32();
+  ASSERT_EQ(reader.U64(), 3u);
+  ASSERT_EQ(reader.U64(), 2u);
+  const size_t offset2_at = 4 + 8 + 8 + 2 * 8;
+  std::string asymmetric = graph_bytes;
+  std::string one;
+  PutU64(&one, 1);
+  asymmetric.replace(offset2_at, one.size(), one);
+  ReplaceSectionAndReseal(path, kGraphSection, asymmetric);
+  auto refused = ReadSnapshot(path);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(refused.status().message().find("adjacency not symmetric"),
+            std::string::npos)
+      << refused.status().ToString();
+  std::string state_bytes;
+  state.SerializeStateTo(&state_bytes);
+  auto direct = SolutionState::Deserialize(asymmetric, state_bytes);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), Status::Code::kCorruption);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, TruncationAtAnyLengthIsRejected) {

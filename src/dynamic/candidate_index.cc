@@ -7,6 +7,59 @@
 #include "core/clique_score.h"
 
 namespace dkc {
+namespace {
+
+// True iff sorted `row` holds every entry of sorted `nodes` except one
+// occurrence of `u`: std::includes against the other nodes without
+// building them. A repeated node fails, since rows hold neither
+// duplicates nor self-loops.
+bool RowHoldsAllBut(std::span<const NodeId> row,
+                    std::span<const NodeId> nodes, NodeId u) {
+  bool skipped = false;
+  auto at = row.begin();
+  for (const NodeId v : nodes) {
+    if (v == u && !skipped) {
+      skipped = true;
+      continue;
+    }
+    while (at != row.end() && *at < v) ++at;
+    if (at == row.end() || *at != v) return false;
+    ++at;
+  }
+  return true;
+}
+
+// A list check's per-worker scratch: the candidate indices of the list
+// being checked, as a bitmap over the candidate table, so a repeat costs
+// one bit test. Clear() unsets only the bits the list set.
+class ListedSet {
+ public:
+  explicit ListedSet(size_t table_size) : bits_(table_size / 64 + 1) {}
+
+  // Adds `idx`; false if the list already held it.
+  bool Insert(uint32_t idx) {
+    uint64_t& word = bits_[idx / 64];
+    const uint64_t bit = uint64_t{1} << (idx % 64);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    listed_.push_back(idx);
+    return true;
+  }
+
+  // Empties the set; returns how many indices it held.
+  size_t Clear() {
+    for (const uint32_t idx : listed_) bits_[idx / 64] = 0;
+    const size_t count = listed_.size();
+    listed_.clear();
+    return count;
+  }
+
+ private:
+  std::vector<uint64_t> bits_;
+  std::vector<uint32_t> listed_;
+};
+
+}  // namespace
 
 SolutionState::SolutionState(DynamicGraph graph, int k,
                              std::vector<Count> node_scores)
@@ -336,82 +389,162 @@ void SolutionState::EnsureNodeCapacity(NodeId n) {
   }
 }
 
-bool SolutionState::CheckInvariants(std::string* error) const {
-  auto fail = [error](std::string msg) {
-    if (error != nullptr) *error = std::move(msg);
+bool SolutionState::CheckInvariants(std::string* error,
+                                    ThreadPool* pool) const {
+  auto fail = [error](const char* msg) {
+    if (error != nullptr) *error = msg;
     return false;
   };
   // node_to_clique consistency.
-  for (NodeId u = 0; u < node_to_clique_.size(); ++u) {
-    const uint32_t s = node_to_clique_[u];
-    if (s == kNoClique) continue;
-    if (!SlotAlive(s)) return fail("node mapped to dead slot");
-    const auto& nodes = cliques_[s].nodes;
-    if (std::find(nodes.begin(), nodes.end(), u) == nodes.end()) {
-      return fail("node mapped to clique that does not contain it");
-    }
+  if (const char* what = FirstFailure(pool, node_to_clique_.size(), [this] {
+        return [this](size_t u, uint64_t*) -> const char* {
+          const uint32_t s = node_to_clique_[u];
+          if (s == kNoClique) return nullptr;
+          if (!SlotAlive(s)) return "node mapped to dead slot";
+          const auto& nodes = cliques_[s].nodes;
+          if (std::find(nodes.begin(), nodes.end(), static_cast<NodeId>(u)) ==
+              nodes.end()) {
+            return "node mapped to clique that does not contain it";
+          }
+          return nullptr;
+        };
+      })) {
+    return fail(what);
   }
   // Solution cliques are cliques, pairwise disjoint via node_to_clique.
-  Count alive_slots = 0;
-  for (uint32_t s = 0; s < cliques_.size(); ++s) {
-    if (!cliques_[s].alive) continue;
-    ++alive_slots;
-    const auto& nodes = cliques_[s].nodes;
-    if (nodes.size() != static_cast<size_t>(k_)) {
-      return fail("solution clique of wrong size");
-    }
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      if (node_to_clique_[nodes[i]] != s) {
-        return fail("solution clique node not mapped back");
-      }
-      for (size_t j = i + 1; j < nodes.size(); ++j) {
-        if (!graph_.HasEdge(nodes[i], nodes[j])) {
-          return fail("solution clique misses an edge");
-        }
-      }
-    }
+  uint64_t alive_slots = 0;
+  if (const char* what = FirstFailure(
+          pool, cliques_.size(),
+          [this] {
+            return [this](size_t s, uint64_t* alive) -> const char* {
+              if (!cliques_[s].alive) return nullptr;
+              ++*alive;
+              const auto& nodes = cliques_[s].nodes;
+              if (nodes.size() != static_cast<size_t>(k_)) {
+                return "solution clique of wrong size";
+              }
+              for (size_t i = 0; i < nodes.size(); ++i) {
+                if (node_to_clique_[nodes[i]] != s) {
+                  return "solution clique node not mapped back";
+                }
+                // One row per node: HasEdge would read both rows per pair.
+                const auto row = graph_.Neighbors(nodes[i]);
+                for (size_t j = i + 1; j < nodes.size(); ++j) {
+                  if (!std::binary_search(row.begin(), row.end(), nodes[j])) {
+                    return "solution clique misses an edge";
+                  }
+                }
+              }
+              return nullptr;
+            };
+          },
+          &alive_slots)) {
+    return fail(what);
   }
   if (alive_slots != solution_size_) return fail("solution_size_ drifted");
   // Candidates: real cliques, >=1 free node, non-free nodes all in owner.
   // The owner passed the clique check above, so its pairs are edges; only
   // a free node's pairs need probing, by one merge of its sorted row
-  // against the candidate's other nodes. A repeated node fails that merge
-  // too (rows hold neither self-loops nor duplicates).
-  Count alive_cands = 0;
-  std::vector<NodeId> others;
-  for (uint32_t i = 0; i < candidates_.size(); ++i) {
-    const Candidate& cand = candidates_[i];
-    if (!cand.alive) continue;
-    ++alive_cands;
-    if (!SlotAlive(cand.owner)) return fail("candidate with dead owner");
-    if (cand.nodes.size() != static_cast<size_t>(k_)) {
-      return fail("candidate of wrong size");
-    }
-    int free_nodes = 0;
-    for (size_t a = 0; a < cand.nodes.size(); ++a) {
-      const NodeId u = cand.nodes[a];
-      const uint32_t s = node_to_clique_[u];
-      if (s != kNoClique) {
-        if (s != cand.owner) {
-          return fail("candidate non-free node outside owner");
-        }
-        continue;
-      }
-      ++free_nodes;
-      others.assign(cand.nodes.begin(), cand.nodes.end());
-      others.erase(others.begin() + a);
-      std::sort(others.begin(), others.end());
-      const auto row = graph_.Neighbors(u);
-      if (!std::includes(row.begin(), row.end(), others.begin(),
-                         others.end())) {
-        return fail("candidate is not a clique");
-      }
-    }
-    if (free_nodes == 0) return fail("candidate without free nodes");
-    if (free_nodes == k_) return fail("candidate with only free nodes");
+  // against the candidate's nodes, sorted once per candidate into the
+  // worker's scratch. A repeated node fails that merge too (rows hold
+  // neither self-loops nor duplicates).
+  uint64_t alive_cands = 0;
+  if (const char* what = FirstFailure(
+          pool, candidates_.size(),
+          [this] {
+            return [this, sorted = std::vector<NodeId>()](
+                       size_t i, uint64_t* alive) mutable -> const char* {
+              const Candidate& cand = candidates_[i];
+              if (!cand.alive) return nullptr;
+              ++*alive;
+              if (!SlotAlive(cand.owner)) return "candidate with dead owner";
+              if (cand.nodes.size() != static_cast<size_t>(k_)) {
+                return "candidate of wrong size";
+              }
+              sorted.assign(cand.nodes.begin(), cand.nodes.end());
+              std::sort(sorted.begin(), sorted.end());
+              int free_nodes = 0;
+              for (const NodeId u : cand.nodes) {
+                const uint32_t s = node_to_clique_[u];
+                if (s != kNoClique) {
+                  if (s != cand.owner) {
+                    return "candidate non-free node outside owner";
+                  }
+                  continue;
+                }
+                ++free_nodes;
+                if (!RowHoldsAllBut(graph_.Neighbors(u), sorted, u)) {
+                  return "candidate is not a clique";
+                }
+              }
+              if (free_nodes == 0) return "candidate without free nodes";
+              if (free_nodes == k_) return "candidate with only free nodes";
+              return nullptr;
+            };
+          },
+          &alive_cands)) {
+    return fail(what);
   }
   if (alive_cands != alive_candidates_) {
     return fail("alive_candidates_ drifted");
+  }
+  // The index's two reference lists. Valid refs only (stale ones are
+  // skipped by every reader): within one list each names a distinct
+  // candidate of the list's slot or node, so the totals can only fall
+  // short, and they fall short iff some alive candidate is missing from
+  // its owner's list or from one of its k nodes' lists.
+  uint64_t owner_refs = 0;
+  if (const char* what = FirstFailure(
+          pool, cliques_.size(),
+          [this] {
+            return [this, listed = ListedSet(candidates_.size())](
+                       size_t s, uint64_t* refs) mutable -> const char* {
+              if (!cliques_[s].alive) return nullptr;
+              for (const CandRef ref : cliques_[s].cands) {
+                if (!CandValid(ref)) continue;
+                if (candidates_[ref.idx].owner != s) {
+                  return "owner list names a foreign candidate";
+                }
+                if (!listed.Insert(ref.idx)) {
+                  return "owner list repeats a candidate";
+                }
+              }
+              *refs += listed.Clear();
+              return nullptr;
+            };
+          },
+          &owner_refs)) {
+    return fail(what);
+  }
+  if (owner_refs != alive_candidates_) {
+    return fail("alive candidate missing from its owner's list");
+  }
+  uint64_t node_refs = 0;
+  if (const char* what = FirstFailure(
+          pool, node_cands_.size(),
+          [this] {
+            return [this, listed = ListedSet(candidates_.size())](
+                       size_t u, uint64_t* refs) mutable -> const char* {
+              for (const CandRef ref : node_cands_[u]) {
+                if (!CandValid(ref)) continue;
+                const auto& nodes = candidates_[ref.idx].nodes;
+                if (std::find(nodes.begin(), nodes.end(),
+                              static_cast<NodeId>(u)) == nodes.end()) {
+                  return "node list names a candidate without the node";
+                }
+                if (!listed.Insert(ref.idx)) {
+                  return "node list repeats a candidate";
+                }
+              }
+              *refs += listed.Clear();
+              return nullptr;
+            };
+          },
+          &node_refs)) {
+    return fail(what);
+  }
+  if (node_refs != static_cast<uint64_t>(k_) * alive_candidates_) {
+    return fail("alive candidate missing from a node list");
   }
   return true;
 }

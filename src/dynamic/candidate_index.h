@@ -194,14 +194,29 @@ class SolutionState {
   /// cross-validates the derived counters, and runs CheckInvariants;
   /// returns Corruption on any mismatch (the caller has already verified
   /// checksums, so a failure here means a logic bug or a forged file).
+  /// With `pool`, the per-candidate, per-slot and per-node range checks
+  /// and CheckInvariants run across its workers, with the serial result.
   static StatusOr<std::unique_ptr<SolutionState>> Deserialize(
-      std::string_view graph_bytes, std::string_view state_bytes);
+      std::string_view graph_bytes, std::string_view state_bytes,
+      ThreadPool* pool = nullptr);
 
-  /// Exhaustive invariant check (tests and snapshot load). A candidate's
-  /// owner-owner pairs are taken as proven by its owner's clique check;
-  /// each free node is checked by one sorted merge of its row against the
-  /// candidate's other nodes, which also refuses a repeated node.
-  bool CheckInvariants(std::string* error) const;
+  /// Exhaustive invariant check (tests and snapshot load), in this order:
+  /// the node map; solution cliques (size k, mapped back, all pairs
+  /// edges); candidates (Section V-A: size k, a clique, alive owner, some
+  /// but not all nodes free, non-free nodes in the owner); then the two
+  /// reference lists of the index. Every valid ref in an alive slot's list
+  /// names a candidate that slot owns, and every valid ref in node u's
+  /// list a candidate containing u, none twice in one list; the valid refs
+  /// total alive_candidates_ and k times that. So each alive candidate is
+  /// listed once by its owner and once under each of its nodes.
+  ///
+  /// A candidate's owner-owner pairs are taken as proven by its owner's
+  /// clique check; each free node is checked by one merge of its row
+  /// against the candidate's nodes, sorted once, which also refuses a
+  /// repeated node. Each loop runs on FirstFailure (across `pool`'s
+  /// workers when given), so a refusal reports exactly the serial pass's
+  /// message at any thread count.
+  bool CheckInvariants(std::string* error, ThreadPool* pool = nullptr) const;
 
   /// Completeness check (tests only, much more expensive than
   /// CheckInvariants): re-enumerates every alive clique's candidate set

@@ -48,7 +48,9 @@ struct DynamicOptions {
   /// through last_batch_stats(). With a pure work cap the abort outcome
   /// is byte-identical at every thread count. Zero fields = unlimited.
   Budget update_budget;
-  /// Worker pool for Build only (initial solve + index build). ApplyBatch
+  /// Worker pool for Build (initial solve + index build) and, through
+  /// DurableStore, for snapshot writes and loads (section CRCs, load-time
+  /// validation); none of these results depends on it. ApplyBatch
   /// maintains serially: a pooled fan-out over a batch-64 epoch's ≈50
   /// microsecond-scale rebuilds measured slower than the serial loop.
   ThreadPool* pool = nullptr;

@@ -115,7 +115,8 @@ size_t SolutionState::SerializedBytes() const {
 }
 
 StatusOr<std::unique_ptr<SolutionState>> SolutionState::Deserialize(
-    std::string_view graph_bytes, std::string_view state_bytes) {
+    std::string_view graph_bytes, std::string_view state_bytes,
+    ThreadPool* pool) {
   // --- graph blob: validated CSR -> DynamicGraph ---------------------
   ByteReader gr(graph_bytes);
   if (gr.U32() != kGraphBlobVersion) {
@@ -275,36 +276,60 @@ StatusOr<std::unique_ptr<SolutionState>> SolutionState::Deserialize(
                        })) {
     return Corrupt("candidate free-slot stack disagrees with table");
   }
-  for (const Candidate& cand : state->candidates_) {
-    if (cand.alive && cand.owner >= state->cliques_.size()) {
-      return Corrupt("candidate owner out of range");
-    }
-    for (NodeId u : cand.nodes) {
-      if (u >= n) return Corrupt("candidate node out of range");
-    }
-  }
-  for (const SolClique& clique : state->cliques_) {
-    for (NodeId u : clique.nodes) {
-      if (u >= n) return Corrupt("solution node out of range");
-    }
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    const uint32_t s = state->node_to_clique_[u];
-    if (s != kNoClique && s >= state->cliques_.size()) {
-      return Corrupt("node mapped past clique table");
-    }
-  }
-
-  uint64_t solution_size = 0;
-  for (const SolClique& clique : state->cliques_) {
-    solution_size += clique.alive ? 1 : 0;
-  }
+  // Range checks, with the derived counters tallied on the way: each loop
+  // runs on FirstFailure, so a pooled load refuses with the serial load's
+  // message.
+  const SolutionState& st = *state;
   uint64_t alive_cands = 0;
-  for (const Candidate& cand : state->candidates_) {
-    alive_cands += cand.alive ? 1 : 0;
+  if (const char* what = FirstFailure(
+          pool, st.candidates_.size(),
+          [&st, n] {
+            return [&st, n](size_t i, uint64_t* alive) -> const char* {
+              const Candidate& cand = st.candidates_[i];
+              if (cand.alive && cand.owner >= st.cliques_.size()) {
+                return "candidate owner out of range";
+              }
+              for (NodeId u : cand.nodes) {
+                if (u >= n) return "candidate node out of range";
+              }
+              *alive += cand.alive ? 1 : 0;
+              return nullptr;
+            };
+          },
+          &alive_cands)) {
+    return Corrupt(what);
+  }
+  uint64_t solution_size = 0;
+  if (const char* what = FirstFailure(
+          pool, st.cliques_.size(),
+          [&st, n] {
+            return [&st, n](size_t s, uint64_t* alive) -> const char* {
+              for (NodeId u : st.cliques_[s].nodes) {
+                if (u >= n) return "solution node out of range";
+              }
+              *alive += st.cliques_[s].alive ? 1 : 0;
+              return nullptr;
+            };
+          },
+          &solution_size)) {
+    return Corrupt(what);
   }
   uint64_t node_refs = 0;
-  for (NodeId u = 0; u < n; ++u) node_refs += state->node_cands_[u].size();
+  if (const char* what = FirstFailure(
+          pool, n,
+          [&st] {
+            return [&st](size_t u, uint64_t* refs) -> const char* {
+              const uint32_t s = st.node_to_clique_[u];
+              if (s != kNoClique && s >= st.cliques_.size()) {
+                return "node mapped past clique table";
+              }
+              *refs += st.node_cands_[u].size();
+              return nullptr;
+            };
+          },
+          &node_refs)) {
+    return Corrupt(what);
+  }
   if (solution_size != stored_solution_size ||
       alive_cands != stored_alive_cands || node_refs != stored_node_refs) {
     return Corrupt("derived counters disagree with stored values");
@@ -319,7 +344,7 @@ StatusOr<std::unique_ptr<SolutionState>> SolutionState::Deserialize(
   // Deep structural validation: cliques are cliques of the restored graph,
   // candidates satisfy the Section V-A characterization, counters agree.
   std::string error;
-  if (!state->CheckInvariants(&error)) {
+  if (!state->CheckInvariants(&error, pool)) {
     return Corrupt(("restored state fails invariants: " + error).c_str());
   }
   return StatusOr<std::unique_ptr<SolutionState>>(std::move(state));

@@ -25,7 +25,7 @@ constexpr uint32_t kSectionState = 3;
 // the file buffer, and EndSection patches both fields over it. `file_crc`
 // is the CRC of file[0, header) on entry and of the whole buffer on exit:
 // the payload's CRC is folded in with Crc32Combine, so each byte is
-// checksummed once.
+// checksummed once (the payload's blocks on `pool` when given).
 constexpr size_t kSectionHeaderBytes = 16;
 
 size_t BeginSection(std::string* file, uint32_t id) {
@@ -35,10 +35,11 @@ size_t BeginSection(std::string* file, uint32_t id) {
   return header;
 }
 
-void EndSection(std::string* file, size_t header, uint32_t* file_crc) {
+void EndSection(std::string* file, size_t header, uint32_t* file_crc,
+                ThreadPool* pool) {
   const size_t start = header + kSectionHeaderBytes;
   const std::string_view payload(file->data() + start, file->size() - start);
-  const uint32_t payload_crc = Crc32(payload);
+  const uint32_t payload_crc = Crc32Chunked(payload, pool);
   std::string fields;
   PutU64(&fields, payload.size());
   PutU32(&fields, payload_crc);
@@ -64,7 +65,7 @@ Status Corrupt(const std::string& what, const std::string& path) {
 }  // namespace
 
 Status WriteSnapshot(const SolutionState& state, uint64_t applied_seq,
-                     const std::string& path) {
+                     const std::string& path, ThreadPool* pool) {
   constexpr size_t kMetaBytes = 28;
   std::string file;
   file.reserve(sizeof(kMagic) + 8 + 3 * kSectionHeaderBytes + kMetaBytes +
@@ -79,21 +80,22 @@ Status WriteSnapshot(const SolutionState& state, uint64_t applied_seq,
   PutU64(&file, applied_seq);
   PutU64(&file, state.graph().num_nodes());
   PutU64(&file, state.graph().num_edges());
-  EndSection(&file, header, &file_crc);
+  EndSection(&file, header, &file_crc, pool);
 
   header = BeginSection(&file, kSectionGraph);
   state.SerializeGraphTo(&file);
-  EndSection(&file, header, &file_crc);
+  EndSection(&file, header, &file_crc, pool);
 
   header = BeginSection(&file, kSectionState);
   state.SerializeStateTo(&file);
-  EndSection(&file, header, &file_crc);
+  EndSection(&file, header, &file_crc, pool);
 
   PutU32(&file, file_crc);  // whole-file CRC
   return AtomicWriteFile(path, file);
 }
 
-StatusOr<LoadedSnapshot> ReadSnapshot(const std::string& path) {
+StatusOr<LoadedSnapshot> ReadSnapshot(const std::string& path,
+                                      ThreadPool* pool) {
   DKC_RETURN_IF_ERROR(fio::Probe(FaultSite::kSnapshotReadOpen,
                                  "cannot open snapshot '" + path + "'"));
   StatusOr<std::string> read = ReadWholeFile(path, "snapshot");
@@ -127,7 +129,7 @@ StatusOr<LoadedSnapshot> ReadSnapshot(const std::string& path) {
     section.stored_crc = reader.U32();
     section.payload = reader.Bytes(static_cast<size_t>(size));
     if (reader.failed()) break;
-    section.crc = Crc32(section.payload);
+    section.crc = Crc32Chunked(section.payload, pool);
     file_crc = Crc32Combine(
         Crc32(body.substr(parsed, kSectionHeaderBytes), file_crc),
         section.crc, section.payload.size());
@@ -172,7 +174,7 @@ StatusOr<LoadedSnapshot> ReadSnapshot(const std::string& path) {
   loaded.meta.num_edges = meta.U64();
   if (!meta.AtEnd()) return Corrupt("malformed meta section", path);
 
-  auto state = SolutionState::Deserialize(graph_blob, state_blob);
+  auto state = SolutionState::Deserialize(graph_blob, state_blob, pool);
   if (!state.ok()) {
     return Corrupt(state.status().message(), path);
   }

@@ -42,9 +42,11 @@ struct SnapshotMeta {
   uint64_t num_edges = 0;
 };
 
-/// Serialize `state` (+ meta) and atomically publish it at `path`.
+/// Serialize `state` (+ meta) and atomically publish it at `path`. With
+/// `pool`, each section's payload CRC is computed in blocks across its
+/// workers (Crc32Chunked); the bytes written are the same either way.
 Status WriteSnapshot(const SolutionState& state, uint64_t applied_seq,
-                     const std::string& path);
+                     const std::string& path, ThreadPool* pool = nullptr);
 
 struct LoadedSnapshot {
   SnapshotMeta meta;
@@ -53,8 +55,12 @@ struct LoadedSnapshot {
 
 /// Load and fully validate a snapshot. IOError if the file cannot be read,
 /// Corruption if any checksum, bound, or engine invariant fails — a
-/// corrupt snapshot never yields a partially restored state.
-StatusOr<LoadedSnapshot> ReadSnapshot(const std::string& path);
+/// corrupt snapshot never yields a partially restored state. With `pool`,
+/// the section CRCs, Deserialize's range checks and CheckInvariants run
+/// across its workers; the checks run in the same order, and the restored
+/// state and any refusal's status and message are the serial load's.
+StatusOr<LoadedSnapshot> ReadSnapshot(const std::string& path,
+                                      ThreadPool* pool = nullptr);
 
 }  // namespace dkc
 

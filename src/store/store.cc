@@ -48,7 +48,7 @@ std::vector<uint64_t> DurableStore::ScanRetained(
 
 StatusOr<DynamicSolver> DurableStore::LoadPointInTime(
     const std::string& snapshot_file, const DynamicOptions& dynamic) {
-  auto loaded = ReadSnapshot(snapshot_file);
+  auto loaded = ReadSnapshot(snapshot_file, dynamic.pool);
   if (!loaded.ok()) return loaded.status();
   DynamicOptions options = dynamic;
   options.k = loaded->meta.k;
@@ -61,7 +61,8 @@ StatusOr<DurableStore> DurableStore::Create(const Graph& g,
                                             const StoreOptions& options) {
   auto solver = DynamicSolver::Build(g, options.dynamic);
   if (!solver.ok()) return solver.status();
-  DKC_RETURN_IF_ERROR(WriteSnapshot(solver->state(), 0, snapshot_path));
+  DKC_RETURN_IF_ERROR(
+      WriteSnapshot(solver->state(), 0, snapshot_path, options.dynamic.pool));
   // Atomic reset rather than truncate: a stale WAL from a previous store
   // at this path must not replay into the fresh one — and likewise any
   // retained snapshot rotations of that previous store must not be
@@ -80,7 +81,7 @@ StatusOr<DurableStore> DurableStore::Create(const Graph& g,
 StatusOr<DurableStore> DurableStore::Open(const std::string& snapshot_path,
                                           const std::string& wal_path,
                                           const StoreOptions& options) {
-  auto loaded = ReadSnapshot(snapshot_path);
+  auto loaded = ReadSnapshot(snapshot_path, options.dynamic.pool);
   if (!loaded.ok()) return loaded.status();
 
   auto scan = ReadWal(wal_path);
@@ -227,7 +228,8 @@ Status DurableStore::Checkpoint() {
     }
   }
   const Status published =
-      WriteSnapshot(solver_->state(), applied_seq_, snapshot_path_);
+      WriteSnapshot(solver_->state(), applied_seq_, snapshot_path_,
+                    options_.dynamic.pool);
   if (!published.ok()) return Seal(published);
   // The snapshot now covers every logged record; compact the WAL. Crash
   // before this point: Open skips the covered records by seq.

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -100,6 +101,51 @@ bool ParallelChunks(ThreadPool* pool, size_t count, const Deadline& deadline,
     pool->Wait();
   }
   return !stopped.load();
+}
+
+/// A validation loop on ParallelChunks: runs `check(i, &tally)` for every
+/// i in [0, count), with one `make_check()` per worker (its private
+/// scratch), and returns the message of the lowest i whose check returns
+/// non-null, or nullptr when every check passes. That is the message the
+/// serial loop stops at: chunks are claimed in index order and a claimed
+/// chunk runs to its end or its first failure, so every chunk below a
+/// failing one has been checked when the workers stop. `*total`, when
+/// given, receives the sum of the workers' tallies (complete only when
+/// every check passed).
+template <typename MakeCheck>
+const char* FirstFailure(ThreadPool* pool, size_t count, MakeCheck make_check,
+                         uint64_t* total = nullptr) {
+  struct Worker {
+    decltype(make_check()) check;
+    uint64_t tally = 0;
+    size_t failed_chunk = SIZE_MAX;
+    const char* error = nullptr;
+  };
+  uint64_t sum = 0;
+  size_t failed_chunk = SIZE_MAX;
+  const char* error = nullptr;
+  ParallelChunks(
+      pool, count, Deadline::Unlimited(),
+      [&make_check] { return Worker{make_check()}; },
+      [](size_t chunk, size_t begin, size_t end, Worker* w) {
+        for (size_t i = begin; i < end; ++i) {
+          if (const char* what = w->check(i, &w->tally)) {
+            w->failed_chunk = chunk;
+            w->error = what;
+            return false;
+          }
+        }
+        return true;
+      },
+      [&](Worker* w) {
+        sum += w->tally;
+        if (w->failed_chunk < failed_chunk) {
+          failed_chunk = w->failed_chunk;
+          error = w->error;
+        }
+      });
+  if (total != nullptr) *total = sum;
+  return error;
 }
 
 }  // namespace dkc

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -23,6 +25,7 @@
 #include "core/verify.h"
 #include "dynamic/dynamic_solver.h"
 #include "dynamic/workload.h"
+#include "gen/generators.h"
 #include "graph/graph_builder.h"
 #include "io/atomic_file.h"
 #include "io/solution_io.h"
@@ -32,6 +35,7 @@
 #include "test_util.h"
 #include "util/binio.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dkc {
 namespace {
@@ -237,6 +241,29 @@ TEST(Crc32Test, CombineMatchesConcatenation) {
       at += piece;
     }
     ASSERT_EQ(chained, Crc32(all)) << "seed " << seed;
+  }
+}
+
+TEST(Crc32Test, ChunkedMatchesOnePassAtAnyPool) {
+  // Block boundaries at every edge case, full four-block groups with and
+  // without a partial tail, a 3 MB buffer, and one long enough that a
+  // 4-thread pool's chunks hold whole four-block groups, each with and
+  // without a seed.
+  const std::string bytes = RandomBytes(5 << 20, 11);
+  const std::string_view all(bytes);
+  constexpr size_t kBlock = kCrc32BlockBytes;
+  ThreadPool one(1), four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    SCOPED_TRACE(pool == nullptr ? 0 : pool->num_threads());
+    for (size_t len : {size_t{0}, size_t{1}, kBlock - 1, kBlock, kBlock + 1,
+                       3 * kBlock + 7, 4 * kBlock, 5 * kBlock + 3,
+                       size_t{3} << 20, bytes.size()}) {
+      const std::string_view data = all.substr(0, len);
+      for (uint32_t seed : {0u, 0x9E3779B9u}) {
+        ASSERT_EQ(Crc32Chunked(data, pool, seed), Crc32(data, seed))
+            << "length " << len << " seed " << seed;
+      }
+    }
   }
 }
 
@@ -570,6 +597,54 @@ TEST(WalTest, PreviousFormatGroupFrameIsRefusedUntouched) {
 
 // ------------------------------------------------------------- snapshot ---
 
+/// Runs `load(pool)` serially and on 1- and 4-thread pools. Every run must
+/// be refused, the pooled ones with the serial run's code and message;
+/// returns the serial status.
+template <typename Load>
+Status ExpectRefusedAlikeOnPools(Load load) {
+  static ThreadPool one(1), four(4);
+  const Status serial = load(nullptr);
+  EXPECT_FALSE(serial.ok());
+  for (ThreadPool* pool : {&one, &four}) {
+    const Status pooled = load(pool);
+    EXPECT_EQ(pooled.code(), serial.code()) << pool->num_threads();
+    EXPECT_EQ(pooled.message(), serial.message()) << pool->num_threads();
+  }
+  return serial;
+}
+
+Status ReadSnapshotRefusal(const std::string& path) {
+  return ExpectRefusedAlikeOnPools(
+      [&](ThreadPool* pool) { return ReadSnapshot(path, pool).status(); });
+}
+
+Status DeserializeRefusal(std::string_view graph_bytes,
+                          std::string_view state_bytes) {
+  return ExpectRefusedAlikeOnPools([&](ThreadPool* pool) {
+    return SolutionState::Deserialize(graph_bytes, state_bytes, pool)
+        .status();
+  });
+}
+
+/// The restored state of `path`, serialized, after checking that a load
+/// on a 4-thread pool restores the same bytes.
+std::string LoadedStateBytes(const std::string& path) {
+  ThreadPool pool(4);
+  auto serial = ReadSnapshot(path);
+  auto pooled = ReadSnapshot(path, &pool);
+  EXPECT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_TRUE(pooled.ok()) << pooled.status().ToString();
+  if (!serial.ok() || !pooled.ok()) return "";
+  std::string serial_bytes, pooled_bytes;
+  serial->state->SerializeGraphTo(&serial_bytes);
+  serial->state->SerializeStateTo(&serial_bytes);
+  pooled->state->SerializeGraphTo(&pooled_bytes);
+  pooled->state->SerializeStateTo(&pooled_bytes);
+  EXPECT_EQ(serial_bytes, pooled_bytes);
+  EXPECT_EQ(serial->meta.applied_seq, pooled->meta.applied_seq);
+  return serial_bytes;
+}
+
 TEST(SnapshotTest, RoundTripIsByteIdentical) {
   TestWorld world = MakeWorld(0, 91);
   DynamicSolver original = ReferenceRun(world, 0);
@@ -595,12 +670,12 @@ TEST(SnapshotTest, RoundTripIsByteIdentical) {
 }
 
 TEST(SnapshotTest, MissingFileIsIOError) {
-  EXPECT_EQ(ReadSnapshot(TempPath("dkc_snap_missing.bin")).status().code(),
+  EXPECT_EQ(ReadSnapshotRefusal(TempPath("dkc_snap_missing.bin")).code(),
             Status::Code::kIOError);
 }
 
 TEST(SnapshotTest, DirectoryPathIsIOError) {
-  EXPECT_EQ(ReadSnapshot(::testing::TempDir()).status().code(),
+  EXPECT_EQ(ReadSnapshotRefusal(::testing::TempDir()).code(),
             Status::Code::kIOError);
 }
 
@@ -637,6 +712,43 @@ TEST(SnapshotTest, GoldenSnapshotBytesAreFrozen) {
   }
 }
 
+TEST(SnapshotTest, PooledWriteAndLoadAreByteIdentical) {
+  // The golden states, then a WS 20000 state after churn, large enough
+  // that every pooled pass splits across workers: a pooled write must
+  // produce the serial write's file, and a pooled load its state.
+  ThreadPool pool(4);
+  const std::string serial_path = TempPath("dkc_snap_serial.bin");
+  const std::string pooled_path = TempPath("dkc_snap_pooled.bin");
+  const auto check = [&](const DynamicSolver& solver, uint64_t seq) {
+    ASSERT_TRUE(WriteSnapshot(solver.state(), seq, serial_path).ok());
+    ASSERT_TRUE(WriteSnapshot(solver.state(), seq, pooled_path, &pool).ok());
+    EXPECT_EQ(ReadFileBytes(serial_path), ReadFileBytes(pooled_path));
+    EXPECT_EQ(LoadedStateBytes(pooled_path), EngineFingerprint(solver));
+  };
+  for (const auto& [ops, seed] : {std::pair<size_t, uint64_t>{0, 91},
+                                  std::pair<size_t, uint64_t>{40, 94}}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TestWorld world = MakeWorld(ops, seed);
+    check(ReferenceRun(world, ops), ops);
+  }
+  Rng rng(20000);
+  auto ws = WattsStrogatz(20000, 12, 0.1, rng);
+  ASSERT_TRUE(ws.ok());
+  DynamicOptions options;
+  options.k = 4;
+  auto solver = DynamicSolver::Build(*ws, options);
+  ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+  const std::vector<UpdateOp> churn = MakeChurnStream(*ws, 2048, rng);
+  const std::span<const UpdateOp> all(churn);
+  for (size_t i = 0; i < all.size(); i += 64) {
+    ASSERT_TRUE(solver->ApplyBatch(all.subspan(i, 64)).ok());
+  }
+  ASSERT_GT(EngineFingerprint(*solver).size(), 8 * kCrc32BlockBytes);
+  check(*solver, churn.size());
+  std::remove(serial_path.c_str());
+  std::remove(pooled_path.c_str());
+}
+
 TEST(SnapshotTest, BitFlipAnywhereIsCorruption) {
   TestWorld world = MakeWorld(0, 92);
   DynamicSolver original = ReferenceRun(world, 0);
@@ -656,14 +768,13 @@ TEST(SnapshotTest, BitFlipAnywhereIsCorruption) {
     std::string damaged = clean;
     damaged[i] = static_cast<char>(damaged[i] ^ 0x04);
     WriteFileBytes(path, damaged);
-    auto result = ReadSnapshot(path);
+    const Status result = ReadSnapshotRefusal(path);
     ASSERT_FALSE(result.ok()) << "byte " << i << " of " << clean.size();
-    EXPECT_EQ(result.status().code(), Status::Code::kCorruption)
-        << "byte " << i;
+    EXPECT_EQ(result.code(), Status::Code::kCorruption) << "byte " << i;
     const std::string expected =
         i < 8 ? "bad magic" : "whole-file checksum mismatch";
-    EXPECT_NE(result.status().message().find(expected), std::string::npos)
-        << "byte " << i << ": " << result.status().ToString();
+    EXPECT_NE(result.message().find(expected), std::string::npos)
+        << "byte " << i << ": " << result.ToString();
   }
   std::remove(path.c_str());
 }
@@ -733,16 +844,36 @@ TEST(SnapshotTest, SlotFlagByteCarriesIncompleteAndRefusesTheRest) {
   for (const auto& [at, flags] :
        {std::pair{*dead_at, uint8_t{2}}, std::pair{*alive_at, uint8_t{5}},
         std::pair{*dead_at, uint8_t{0x80}}}) {
-    auto refused = load(at, flags);
+    std::string bytes = state_bytes;
+    bytes[at] = static_cast<char>(flags);
+    const Status refused = DeserializeRefusal(graph_bytes, bytes);
     ASSERT_FALSE(refused.ok()) << "flags " << int{flags};
-    EXPECT_EQ(refused.status().code(), Status::Code::kCorruption);
+    EXPECT_EQ(refused.code(), Status::Code::kCorruption);
   }
+}
+
+// One (idx, gen) candidate reference in a state blob and its byte offset.
+struct BlobRef {
+  size_t at = 0;
+  uint32_t idx = 0;
+  uint32_t gen = 0;
+};
+
+BlobRef ReadBlobRef(std::string_view state_bytes, ByteReader* reader) {
+  BlobRef ref;
+  ref.at = state_bytes.size() - reader->remaining();
+  ref.idx = reader->U32();
+  ref.gen = reader->U32();
+  return ref;
 }
 
 // A reader over `state_bytes` positioned at the candidate table's count,
 // past version, k, n, scores, node_to_clique, the clique table and its
-// free-slot stack.
-ByteReader ReaderAtCandidateTable(std::string_view state_bytes) {
+// free-slot stack. `slot_refs`, when given, receives each alive slot's
+// candidate references (dead slots map to empty lists).
+ByteReader ReaderAtCandidateTable(
+    std::string_view state_bytes,
+    std::vector<std::vector<BlobRef>>* slot_refs = nullptr) {
   ByteReader reader(state_bytes);
   reader.U32();
   reader.U32();
@@ -751,12 +882,16 @@ ByteReader ReaderAtCandidateTable(std::string_view state_bytes) {
   for (uint64_t i = 0; i < n; ++i) reader.U32();
   const uint64_t num_slots = reader.U64();
   for (uint64_t slot = 0; slot < num_slots; ++slot) {
-    reader.U8();
+    const bool alive = (reader.U8() & 1) != 0;
     reader.U32();
     const uint32_t nodes = reader.U32();
     for (uint32_t i = 0; i < nodes; ++i) reader.U32();
     const uint64_t refs = reader.U64();
-    for (uint64_t i = 0; i < refs; ++i) reader.U64();
+    if (slot_refs != nullptr) slot_refs->emplace_back();
+    for (uint64_t i = 0; i < refs; ++i) {
+      const BlobRef ref = ReadBlobRef(state_bytes, &reader);
+      if (slot_refs != nullptr && alive) slot_refs->back().push_back(ref);
+    }
   }
   const uint64_t free_slots = reader.U64();
   for (uint64_t i = 0; i < free_slots; ++i) reader.U32();
@@ -826,12 +961,12 @@ TEST(SnapshotTest, CandidateThatIsNotACliqueIsRefused) {
     std::string id;
     PutU32(&id, rewrite.to);
     bytes.replace(at, id.size(), id);
-    auto refused = SolutionState::Deserialize(graph_bytes, bytes);
+    const Status refused = DeserializeRefusal(graph_bytes, bytes);
     ASSERT_FALSE(refused.ok());
-    EXPECT_EQ(refused.status().code(), Status::Code::kCorruption);
-    EXPECT_NE(refused.status().message().find("candidate is not a clique"),
+    EXPECT_EQ(refused.code(), Status::Code::kCorruption);
+    EXPECT_NE(refused.message().find("candidate is not a clique"),
               std::string::npos)
-        << refused.status().ToString();
+        << refused.ToString();
   }
 }
 
@@ -913,12 +1048,12 @@ TEST(SnapshotTest, CandidateOfWrongSizeIsRefused) {
   }
   shortened += state_bytes.substr(count_at + 16);
   ReplaceSectionAndReseal(path, kStateSection, shortened);
-  auto refused = ReadSnapshot(path);
+  const Status refused = ReadSnapshotRefusal(path);
   ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), Status::Code::kCorruption);
-  EXPECT_NE(refused.status().message().find("candidate of wrong size"),
+  EXPECT_EQ(refused.code(), Status::Code::kCorruption);
+  EXPECT_NE(refused.message().find("candidate of wrong size"),
             std::string::npos)
-      << refused.status().ToString();
+      << refused.ToString();
   std::remove(path.c_str());
 }
 
@@ -950,18 +1085,179 @@ TEST(SnapshotTest, AsymmetricAdjacencyIsRefused) {
   PutU64(&one, 1);
   asymmetric.replace(offset2_at, one.size(), one);
   ReplaceSectionAndReseal(path, kGraphSection, asymmetric);
-  auto refused = ReadSnapshot(path);
+  const Status refused = ReadSnapshotRefusal(path);
   ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), Status::Code::kCorruption);
-  EXPECT_NE(refused.status().message().find("adjacency not symmetric"),
+  EXPECT_EQ(refused.code(), Status::Code::kCorruption);
+  EXPECT_NE(refused.message().find("adjacency not symmetric"),
             std::string::npos)
-      << refused.status().ToString();
+      << refused.ToString();
   std::string state_bytes;
   state.SerializeStateTo(&state_bytes);
-  auto direct = SolutionState::Deserialize(asymmetric, state_bytes);
+  const Status direct = DeserializeRefusal(asymmetric, state_bytes);
   ASSERT_FALSE(direct.ok());
-  EXPECT_EQ(direct.status().code(), Status::Code::kCorruption);
+  EXPECT_EQ(direct.code(), Status::Code::kCorruption);
   std::remove(path.c_str());
+}
+
+// The candidate index of a state blob, mapped for forging: each alive
+// slot's and each node's *valid* references (alive candidate, matching
+// generation), with their byte offsets, and each candidate's nodes.
+struct IndexMap {
+  std::vector<std::vector<BlobRef>> slot_refs;
+  std::vector<std::vector<BlobRef>> node_refs;
+  std::vector<std::vector<NodeId>> cand_nodes;
+};
+
+IndexMap MapIndex(std::string_view state_bytes) {
+  IndexMap map;
+  ByteReader reader = ReaderAtCandidateTable(state_bytes, &map.slot_refs);
+  std::vector<std::optional<uint32_t>> alive_gen;
+  const uint64_t num_cands = reader.U64();
+  for (uint64_t c = 0; c < num_cands; ++c) {
+    const bool alive = reader.U8() != 0;
+    const uint32_t gen = reader.U32();
+    reader.U32();
+    reader.U64();
+    map.cand_nodes.emplace_back(reader.U32());
+    for (NodeId& u : map.cand_nodes.back()) u = reader.U32();
+    alive_gen.push_back(alive ? std::optional<uint32_t>(gen) : std::nullopt);
+  }
+  const uint64_t free_cands = reader.U64();
+  for (uint64_t i = 0; i < free_cands; ++i) reader.U32();
+  ByteReader header(state_bytes);
+  header.U32();
+  header.U32();
+  const uint64_t num_nodes = header.U64();
+  for (uint64_t u = 0; u < num_nodes; ++u) {
+    map.node_refs.emplace_back();
+    const uint64_t refs = reader.U64();
+    for (uint64_t i = 0; i < refs; ++i) {
+      map.node_refs.back().push_back(ReadBlobRef(state_bytes, &reader));
+    }
+  }
+  reader.U64();
+  reader.U64();
+  reader.U64();
+  EXPECT_TRUE(reader.AtEnd());
+  const auto valid = [&](const BlobRef& ref) {
+    return ref.idx < alive_gen.size() && alive_gen[ref.idx] == ref.gen;
+  };
+  for (auto* lists : {&map.slot_refs, &map.node_refs}) {
+    for (auto& list : *lists) std::erase_if(list, std::not_fn(valid));
+  }
+  return map;
+}
+
+/// A snapshot of a WS 2000 state at k=4 after churn (so the lists hold
+/// stale refs too) and its state blob, for the candidate-index forgeries.
+struct IndexForgery {
+  std::string path;
+  std::string state_bytes;
+  IndexMap map;
+
+  explicit IndexForgery(const std::string& name) : path(TempPath(name)) {
+    Rng rng(2000);
+    auto ws = WattsStrogatz(2000, 12, 0.1, rng);
+    EXPECT_TRUE(ws.ok());
+    DynamicOptions options;
+    options.k = 4;
+    auto solver = DynamicSolver::Build(*ws, options);
+    EXPECT_TRUE(solver.ok()) << solver.status().ToString();
+    const std::vector<UpdateOp> churn = MakeChurnStream(*ws, 256, rng);
+    const std::span<const UpdateOp> all(churn);
+    for (size_t i = 0; i < all.size(); i += 16) {
+      EXPECT_TRUE(solver->ApplyBatch(all.subspan(i, 16)).ok());
+    }
+    EXPECT_TRUE(WriteSnapshot(solver->state(), churn.size(), path).ok());
+    EXPECT_TRUE(ReadSnapshot(path).ok());
+    solver->state().SerializeStateTo(&state_bytes);
+    map = MapIndex(state_bytes);
+  }
+  ~IndexForgery() { std::remove(path.c_str()); }
+
+  /// Reseals the snapshot with the reference (idx, gen) written over
+  /// `from`, and returns the load's refusal (the same at every pool size).
+  Status Refusal(const BlobRef& from, uint32_t idx, uint32_t gen) const {
+    std::string forged = state_bytes;
+    std::string ref;
+    PutU32(&ref, idx);
+    PutU32(&ref, gen);
+    forged.replace(from.at, ref.size(), ref);
+    ReplaceSectionAndReseal(path, kStateSection, forged);
+    return ReadSnapshotRefusal(path);
+  }
+};
+
+void ExpectCorruption(const Status& status, const std::string& what) {
+  EXPECT_EQ(status.code(), Status::Code::kCorruption) << status.ToString();
+  EXPECT_NE(status.message().find(what), std::string::npos)
+      << status.ToString();
+}
+
+TEST(SnapshotTest, ForeignCandidateInOwnerListIsRefused) {
+  // Slot a's first ref replaced by slot b's: CandidatesOf(a) would hand a
+  // swap a candidate whose non-free nodes belong to b.
+  IndexForgery forgery("dkc_snap_foreign_owner.bin");
+  const auto& slots = forgery.map.slot_refs;
+  std::vector<size_t> listed;
+  for (size_t s = 0; s < slots.size() && listed.size() < 2; ++s) {
+    if (!slots[s].empty()) listed.push_back(s);
+  }
+  ASSERT_EQ(listed.size(), 2u);
+  const BlobRef& foreign = slots[listed[1]].front();
+  ExpectCorruption(forgery.Refusal(slots[listed[0]].front(), foreign.idx,
+                                   foreign.gen),
+                   "owner list names a foreign candidate");
+}
+
+TEST(SnapshotTest, CandidateMissingFromItsOwnerListIsRefused) {
+  // An alive candidate is dropped from its owner's list: once for a stale
+  // ref (the next generation of the same slot), once for a second copy of
+  // another of the owner's candidates.
+  IndexForgery forgery("dkc_snap_missing_owner.bin");
+  const std::vector<BlobRef>* two = nullptr;
+  for (const auto& list : forgery.map.slot_refs) {
+    if (list.size() >= 2) {
+      two = &list;
+      break;
+    }
+  }
+  ASSERT_NE(two, nullptr);
+  const BlobRef& dropped = (*two)[0];
+  ExpectCorruption(forgery.Refusal(dropped, dropped.idx, dropped.gen + 1),
+                   "alive candidate missing from its owner's list");
+  ExpectCorruption(forgery.Refusal(dropped, (*two)[1].idx, (*two)[1].gen),
+                   "owner list repeats a candidate");
+}
+
+TEST(SnapshotTest, NodeListThatDropsACandidateIsRefused) {
+  // Node u's list drops its first alive candidate: for a stale ref, for a
+  // second copy of its next one, then for a candidate that does not
+  // contain u.
+  IndexForgery forgery("dkc_snap_node_list.bin");
+  const auto& nodes = forgery.map.node_refs;
+  NodeId u = 0;
+  while (u < nodes.size() && nodes[u].size() < 2) ++u;
+  ASSERT_LT(u, nodes.size());
+  const BlobRef& dropped = nodes[u][0];
+  ExpectCorruption(forgery.Refusal(dropped, dropped.idx, dropped.gen + 1),
+                   "alive candidate missing from a node list");
+  ExpectCorruption(forgery.Refusal(dropped, nodes[u][1].idx, nodes[u][1].gen),
+                   "node list repeats a candidate");
+  const auto& slots = forgery.map.slot_refs;
+  const BlobRef* outside = nullptr;
+  for (const auto& list : slots) {
+    for (const BlobRef& ref : list) {
+      const auto& members = forgery.map.cand_nodes[ref.idx];
+      if (outside == nullptr &&
+          std::find(members.begin(), members.end(), u) == members.end()) {
+        outside = &ref;
+      }
+    }
+  }
+  ASSERT_NE(outside, nullptr);
+  ExpectCorruption(forgery.Refusal(dropped, outside->idx, outside->gen),
+                   "node list names a candidate without the node");
 }
 
 TEST(SnapshotTest, TruncationAtAnyLengthIsRejected) {
@@ -974,9 +1270,9 @@ TEST(SnapshotTest, TruncationAtAnyLengthIsRejected) {
   const size_t stride = std::max<size_t>(1, clean.size() / 211);
   for (size_t len = 0; len < clean.size(); len += stride) {
     WriteFileBytes(path, clean.substr(0, len));
-    auto result = ReadSnapshot(path);
+    const Status result = ReadSnapshotRefusal(path);
     ASSERT_FALSE(result.ok()) << "prefix length " << len;
-    EXPECT_EQ(result.status().code(), Status::Code::kCorruption)
+    EXPECT_EQ(result.code(), Status::Code::kCorruption)
         << "prefix length " << len;
   }
   std::remove(path.c_str());

@@ -396,6 +396,49 @@ TEST(ParallelChunksTest, BodyReturningFalseStopsEveryWorker) {
   }
 }
 
+// ---------------------------------------------------------- FirstFailure
+TEST(FirstFailureTest, ReportsTheLowestFailingIndexAndSumsTallies) {
+  // Indices `first` and `first + 600` (a later chunk) fail, each with its
+  // own message. The check at `first` stalls, so on a pool the later
+  // failure is found, and its worker merged, first; every pool must
+  // still report `first`'s message, as the serial loop does. The tally of
+  // a passing run must count every index once.
+  ThreadPool pool1(1), pool4(4);
+  ThreadPool* pools[] = {nullptr, &pool1, &pool4};
+  std::vector<std::string> messages(20000);
+  for (size_t i = 0; i < messages.size(); ++i) {
+    messages[i] = "index " + std::to_string(i);
+  }
+  for (ThreadPool* pool : pools) {
+    for (size_t first : {size_t{0}, size_t{7}, size_t{300}, size_t{19999}}) {
+      SCOPED_TRACE(std::to_string(first));
+      const auto make_check = [&] {
+        return [&](size_t i, uint64_t*) -> const char* {
+          if (i == first) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          }
+          return i == first || i == first + 600 ? messages[i].c_str()
+                                                : nullptr;
+        };
+      };
+      EXPECT_EQ(FirstFailure(pool, messages.size(), make_check),
+                messages[first].c_str());
+    }
+    uint64_t total = 0;
+    EXPECT_EQ(FirstFailure(
+                  pool, messages.size(),
+                  [] {
+                    return [](size_t i, uint64_t* tally) -> const char* {
+                      *tally += i;
+                      return nullptr;
+                    };
+                  },
+                  &total),
+              nullptr);
+    EXPECT_EQ(total, uint64_t{20000} * 19999 / 2);
+  }
+}
+
 // ---------------------------------------------------------------- Flags
 TEST(FlagsTest, ParsesKeyValue) {
   const char* argv[] = {"prog", "--k=5", "--name=orkut"};

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 namespace dkc {
@@ -93,22 +94,12 @@ void ForEachKCliqueInSubset(
     const std::function<bool(std::span<const NodeId>)>& cb,
     NeighborhoodKernel* kernel, EnumBudget* budget) {
   if (subset.size() < static_cast<size_t>(k)) return;
-  auto run = [&](NeighborhoodKernel* active) {
-    active->BuildFromSubset(g, subset);
-    if (budget != nullptr) {
-      active->ForEachCliqueBudgeted(k, cb, budget);
-    } else {
-      active->ForEachClique(k, cb);
-    }
-  };
-  if (kernel != nullptr) {
-    run(kernel);
-    return;
-  }
   // Fallback kernel (and its arena allocation) only when the caller has no
   // persistent one — the dynamic engine's per-update path always does.
-  NeighborhoodKernel local;
-  run(&local);
+  std::optional<NeighborhoodKernel> local;
+  if (kernel == nullptr) kernel = &local.emplace();
+  kernel->BuildFromSubset(g, subset);
+  kernel->ForEachClique(k, cb, /*eager=*/false, budget);
 }
 
 namespace {

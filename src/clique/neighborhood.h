@@ -39,8 +39,10 @@
 //
 // The common case — DAG out-degrees are degeneracy-bounded, so per-root
 // universes almost always fit one machine word — runs a specialized
-// single-word recursion: the candidate set is a uint64_t in a register and
-// intersection is one AND, no per-depth stack traffic.
+// single-word recursion for every q up to kMaxFixedDepth (8): the candidate
+// set is a uint64_t in a register, intersection is one AND, and the level
+// is a template parameter. Deeper one-word searches (k >= 10 in root mode)
+// run the multi-word recursion with one-word rows.
 //
 // Because local ids are ascending in global id and set bits are visited
 // LSB-first, the DFS visits branches in exactly the order the historical
@@ -61,12 +63,22 @@
 // The word-level inner loops (row gather, fused AND+popcount, sorted
 // merge) are the scalar primitives of clique/intersect.h.
 //
-// Visitors: the private Visit/BitRec/MergeRec templates drive a visitor
-// with Enter/Exit (branch hooks, Enter may prune), LeafCount (candidate
-// count at the last level) and LeafId (per-candidate completion) hooks.
-// CountCliques / ScoreCliques / FindMinScoreClique / ForEachClique are the
-// four public instantiations; KCliqueEnumerator, FindMin in the lightweight
-// solver, HG's FindOne and ForEachKCliqueInSubset are all thin adapters.
+// Recursions: one per universe shape, all behind the private Visit.
+//   * BitRec1Fixed<R> — bitmap, one word, q <= kMaxFixedDepth;
+//   * BitRec — bitmap, any number of words (q > kMaxFixedDepth on one word,
+//     or s > 64);
+//   * MergeRec — sorted local-id lists, s > kMaxBitmapNodes.
+// Each drives a visitor with Enter/Exit (branch hooks, Enter may prune),
+// LeafCount (candidate count at the last level) and LeafId (per-candidate
+// completion) hooks, in the same order.
+//
+// Visitors: CountVisitor, ScoreVisitor and MinScoreVisitor (neighborhood.cc)
+// back CountCliques / ScoreCliques / FindMinScoreClique; EmitVisitor backs
+// ForEachClique, charged against an EnumBudget or not (a compile-time flag,
+// so the uncharged visitor carries no budget test). KCliqueEnumerator,
+// FindMin in the lightweight solver, HG's FindOne, ForEachKCliqueInSubset
+// (the dynamic engine's candidate rebuild and its insert scan) are all thin
+// adapters.
 
 #ifndef DKC_CLIQUE_NEIGHBORHOOD_H_
 #define DKC_CLIQUE_NEIGHBORHOOD_H_
@@ -208,83 +220,70 @@ class NeighborhoodKernel {
   /// `eager = true` when `cb` will consume (nearly) the whole enumeration —
   /// full listings build every row up front; early-stopping searches leave
   /// rows lazy.
+  ///
+  /// With `budget`, each branch Enter charges one unit of `budget->used`
+  /// and is refused once the cap is spent (see EnumBudget): the emitted
+  /// cliques and their order are a prefix-by-budget of the unbudgeted
+  /// enumeration, and a cut is reported through budget->cut, not the
+  /// return value.
   template <typename F>
-  bool ForEachClique(int q, F&& cb, bool eager = false) {
+  bool ForEachClique(int q, F&& cb, bool eager = false,
+                     EnumBudget* budget = nullptr) {
     a_->emit.clear();
     if (has_root_) a_->emit.push_back(root_);
-    EmitVisitor<std::remove_reference_t<F>> visitor{&a_->emit, uni_, &cb};
-    return Visit(q, visitor, eager);
-  }
-
-  /// ForEachClique under an EnumBudget: each branch Enter charges one unit
-  /// of `budget->used`, refused once the cap is spent (see EnumBudget).
-  /// Emitted cliques and their order are a prefix-by-budget of the
-  /// unbudgeted enumeration. Returns false iff `cb` stopped the traversal
-  /// (a budget cut is reported through budget->cut, not the return value).
-  template <typename F>
-  bool ForEachCliqueBudgeted(int q, F&& cb, EnumBudget* budget) {
-    a_->emit.clear();
-    if (has_root_) a_->emit.push_back(root_);
-    ChargedEmitVisitor<std::remove_reference_t<F>> visitor{&a_->emit, uni_,
-                                                           &cb, budget};
-    Visit(q, visitor);
+    using Cb = std::remove_reference_t<F>;
+    if (budget == nullptr) {
+      EmitVisitor<Cb, false> visitor{&a_->emit, uni_, &cb};
+      return Visit(q, visitor, eager);
+    }
+    EmitVisitor<Cb, true> visitor{&a_->emit, uni_, &cb, budget};
+    Visit(q, visitor, eager);
     return !visitor.stopped;
   }
 
  private:
   static constexpr NodeId kNoLocal = kInvalidNode;
+  // Deepest q with a compile-time single-word recursion (BitRec1Fixed);
+  // deeper single-word searches run BitRec with words_ == 1.
+  static constexpr int kMaxFixedDepth = 8;
 
-  template <typename F>
+  // Emits each clique to `callback`. Charged (kCharged), Enter spends one
+  // unit of `budget` and is refused once the cap is spent; the cut
+  // latches, so every later Enter is refused too and no further clique is
+  // emitted. `stopped` tells a `callback` stop from a budget cut, both of
+  // which abort Visit. Uncharged, the budget code compiles away.
+  template <typename F, bool kCharged>
   struct EmitVisitor {
     static constexpr bool kLeafIterates = true;
     std::vector<NodeId>* emit;
     const NodeId* local_nodes;
     F* callback;
+    EnumBudget* budget = nullptr;
+    bool stopped = false;  // charged only: callback returned false
     bool Enter(NodeId i) {
-      emit->push_back(local_nodes[i]);
-      return true;
-    }
-    void Exit(NodeId) { emit->pop_back(); }
-    bool LeafCount(Count) { return true; }
-    bool LeafId(NodeId i) {
-      emit->push_back(local_nodes[i]);
-      const bool keep_going = (*callback)(std::span<const NodeId>(*emit));
-      emit->pop_back();
-      return keep_going;
-    }
-  };
-
-  // EmitVisitor under an EnumBudget: Enter charges one unit and is refused
-  // once the cap is spent (the cut latches; every later Enter is refused
-  // too, so the remaining traversal degenerates to cheap refusals and no
-  // further clique can be emitted). Budget refusals and `cb` stops are
-  // distinguished through `stopped` so the caller can keep ForEachClique's
-  // return-value contract.
-  template <typename F>
-  struct ChargedEmitVisitor {
-    static constexpr bool kLeafIterates = true;
-    std::vector<NodeId>* emit;
-    const NodeId* local_nodes;
-    F* callback;
-    EnumBudget* budget;
-    bool stopped = false;  // cb returned false (not a budget cut)
-    bool Enter(NodeId i) {
-      if (budget->cap != 0 && budget->used >= budget->cap) {
-        budget->cut = true;
-        return false;
+      if constexpr (kCharged) {
+        if (budget->cap != 0 && budget->used >= budget->cap) {
+          budget->cut = true;
+          return false;
+        }
+        ++budget->used;
       }
-      ++budget->used;
       emit->push_back(local_nodes[i]);
       return true;
     }
     void Exit(NodeId) { emit->pop_back(); }
-    bool LeafCount(Count) { return !budget->cut; }
+    bool LeafCount(Count) {
+      if constexpr (kCharged) return !budget->cut;
+      return true;
+    }
     bool LeafId(NodeId i) {
-      if (budget->cut) return false;
+      if constexpr (kCharged) {
+        if (budget->cut) return false;
+      }
       emit->push_back(local_nodes[i]);
       const bool keep_going = (*callback)(std::span<const NodeId>(*emit));
       emit->pop_back();
-      if (!keep_going) stopped = true;
+      if constexpr (kCharged) stopped = !keep_going;
       return keep_going;
     }
   };
@@ -336,7 +335,7 @@ class NeighborhoodKernel {
         }
       }
       const bool built = row_state_ == RowState::kAllBuilt;
-      if (words_ == 1) {
+      if (words_ == 1 && q <= kMaxFixedDepth) {
         const uint64_t full =
             s_ == 64 ? ~uint64_t{0} : (uint64_t{1} << s_) - 1;
         // Fixed-depth dispatch: for the q every workload here uses, make
@@ -362,12 +361,9 @@ class NeighborhoodKernel {
           case 7:
             return built ? BitRec1Fixed<false, 7>(full, visitor)
                          : BitRec1Fixed<true, 7>(full, visitor);
-          case 8:
-            return built ? BitRec1Fixed<false, 8>(full, visitor)
-                         : BitRec1Fixed<true, 8>(full, visitor);
-          default:
-            return built ? BitRec1<false>(q, full, visitor)
-                         : BitRec1<true>(q, full, visitor);
+          default:  // q == kMaxFixedDepth
+            return built ? BitRec1Fixed<false, kMaxFixedDepth>(full, visitor)
+                         : BitRec1Fixed<true, kMaxFixedDepth>(full, visitor);
         }
       }
       a_->cand_stack.resize(static_cast<size_t>(q) * words_);
@@ -383,8 +379,10 @@ class NeighborhoodKernel {
     return MergeRec(q, a_->merge_full, 0, visitor);
   }
 
-  /// Single-word traversal with a compile-time level (the hot shape):
-  /// semantically identical to BitRec1 below with remaining == R.
+  /// Single-word traversal with a compile-time level (s <= 64 and
+  /// q <= kMaxFixedDepth, the hot shape): the candidate set lives in a
+  /// register and intersection is one AND. Semantically identical to
+  /// BitRec below with words_ == 1 and remaining == R.
   template <bool kLazy, int R, typename V>
   bool BitRec1Fixed(uint64_t cand, V& visitor) {
     if constexpr (R == 1) {
@@ -437,85 +435,6 @@ class NeighborhoodKernel {
     }
   }
 
-  /// Single-word specialization (s <= 64, the degeneracy-bounded common
-  /// case): the candidate set lives in a register, intersection is one AND.
-  template <bool kLazy, typename V>
-  bool BitRec1(int remaining, uint64_t cand, V& visitor) {
-    if (remaining == 1) {
-      if (!visitor.LeafCount(static_cast<Count>(std::popcount(cand)))) {
-        return false;
-      }
-      if constexpr (V::kLeafIterates) {
-        for (uint64_t bits = cand; bits != 0; bits &= bits - 1) {
-          if (!visitor.LeafId(static_cast<NodeId>(std::countr_zero(bits)))) {
-            return false;
-          }
-        }
-      }
-      return true;
-    }
-    const uint64_t* rows = a_->rows.data();
-    const Count* deg = a_->deg_bound.data();
-    if (remaining == 2) {
-      // Penultimate level, manually inlined: each surviving branch head i
-      // completes popcount(cand & row_i) cliques — no recursive call. Hook
-      // order and early-stop behavior mirror the generic level exactly.
-      for (uint64_t bits = cand; bits != 0; bits &= bits - 1) {
-        const NodeId i = static_cast<NodeId>(std::countr_zero(bits));
-        if (deg[i] + 1 < 2) continue;
-        // Lazy mode probes the visitor *before* materializing the row:
-        // score-pruned branches (the LP win) never pay for a build. An
-        // entered branch is unwound by Exit either way.
-        if (!visitor.Enter(i)) continue;
-        uint64_t row;
-        if constexpr (kLazy) {
-          row = *RowFor(i);
-        } else {
-          row = rows[i];
-        }
-        const uint64_t next = cand & row;
-        bool keep_going = true;
-        if (next != 0) {
-          keep_going =
-              visitor.LeafCount(static_cast<Count>(std::popcount(next)));
-          if constexpr (V::kLeafIterates) {
-            for (uint64_t lb = next; keep_going && lb != 0; lb &= lb - 1) {
-              keep_going =
-                  visitor.LeafId(static_cast<NodeId>(std::countr_zero(lb)));
-            }
-          }
-        }
-        visitor.Exit(i);
-        if (!keep_going) return false;
-      }
-      return true;
-    }
-    for (uint64_t bits = cand; bits != 0; bits &= bits - 1) {
-      const NodeId i = static_cast<NodeId>(std::countr_zero(bits));
-      // Degree prune. In lazy mode the bound may over-admit until the row
-      // is built; over-admitted branches die at the candidate-count check
-      // below without emitting anything, so results never change. The
-      // visitor probe runs before the row build so score-pruned branches
-      // never materialize anything.
-      if (deg[i] + 1 < static_cast<Count>(remaining)) continue;
-      if (!visitor.Enter(i)) continue;
-      uint64_t row;
-      if constexpr (kLazy) {
-        row = *RowFor(i);
-      } else {
-        row = rows[i];
-      }
-      const uint64_t next = cand & row;
-      bool keep_going = true;
-      if (std::popcount(next) + 1 >= remaining) {
-        keep_going = BitRec1<kLazy>(remaining - 1, next, visitor);
-      }
-      visitor.Exit(i);
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
   template <bool kLazy, typename V>
   bool BitRec(int remaining, const uint64_t* cand, int depth, V& visitor) {
     if (remaining == 1) {
@@ -539,6 +458,11 @@ class NeighborhoodKernel {
       while (bits != 0) {
         const NodeId i = w * 64 + static_cast<NodeId>(std::countr_zero(bits));
         bits &= bits - 1;
+        // Degree prune. In lazy mode the bound may over-admit until the row
+        // is built; over-admitted branches die at the candidate-count check
+        // below without emitting anything, so results never change. The
+        // visitor probe runs before the row build so score-pruned branches
+        // never materialize anything.
         if (a_->deg_bound[i] + 1 < static_cast<Count>(remaining)) continue;
         if (!visitor.Enter(i)) continue;
         const uint64_t* row;

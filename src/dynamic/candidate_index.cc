@@ -369,6 +369,49 @@ bool SolutionState::HasCandidateWithEdge(uint32_t slot, NodeId u,
   return false;
 }
 
+bool SolutionState::ScanFreeEdge(NodeId u, NodeId v,
+                                 std::vector<NodeId>* free_clique,
+                                 std::vector<uint32_t>* owners) const {
+  owners->clear();
+  free_clique->clear();
+  if (k_ == 2) {
+    free_clique->assign({u, v});
+    return true;
+  }
+  std::vector<NodeId> common;
+  IntersectSorted(graph_.Neighbors(u), graph_.Neighbors(v), &common);
+  std::vector<NodeId> best;  // smallest all-free rest, ascending
+  std::vector<NodeId> sorted;
+  ForEachKCliqueInSubset(
+      graph_, common, k_ - 2,
+      [&](std::span<const NodeId> nodes) {
+        uint32_t owner = kNoClique;
+        for (NodeId w : nodes) {
+          const uint32_t cw = node_to_clique_[w];
+          if (cw == kNoClique) continue;
+          if (owner != kNoClique && cw != owner) return true;  // two owners
+          owner = cw;
+        }
+        if (owner != kNoClique) {
+          owners->push_back(owner);
+          return true;
+        }
+        sorted.assign(nodes.begin(), nodes.end());
+        std::sort(sorted.begin(), sorted.end());
+        if (best.empty() || sorted < best) best.swap(sorted);
+        return true;
+      },
+      &subset_kernel_);
+
+  std::sort(owners->begin(), owners->end());
+  owners->erase(std::unique(owners->begin(), owners->end()), owners->end());
+  std::erase_if(*owners, [this](uint32_t slot) { return !SlotAlive(slot); });
+  if (best.empty()) return false;
+  free_clique->assign({u, v});
+  free_clique->insert(free_clique->end(), best.begin(), best.end());
+  return true;
+}
+
 std::vector<SolutionState::CandidateView> SolutionState::CandidatesOf(
     uint32_t slot) const {
   std::vector<CandidateView> out;

@@ -146,6 +146,22 @@ class SolutionState {
   /// walking the slot's candidates in place.
   bool HasCandidateWithEdge(uint32_t slot, NodeId u, NodeId v) const;
 
+  /// Algorithm 6's scan for an inserted edge (u, v) whose endpoints are
+  /// both free (lines 7-9 and 12-15 in one pass). Every k-clique through
+  /// (u, v) is u, v plus a (k-2)-clique of N(u) ∩ N(v); the scan lists
+  /// those once on the persistent subset kernel and sorts each by the
+  /// candidate owner rule:
+  ///  * all nodes free: an all-free k-clique. The lexicographically
+  ///    smallest (by ascending node tuple) is kept;
+  ///  * one owner: a would-be candidate of that solution clique;
+  ///  * two or more owners: neither.
+  /// Fills `owners` with the owners found, sorted, unique, alive. Returns
+  /// true iff an all-free k-clique exists and then fills `free_clique`
+  /// with [u, v, ascending rest] (at k = 2 the edge itself). Uncharged:
+  /// the rebuilds the owners feed carry the update meter.
+  bool ScanFreeEdge(NodeId u, NodeId v, std::vector<NodeId>* free_clique,
+                    std::vector<uint32_t>* owners) const;
+
   /// Copies the alive candidates of `slot` as (nodes, score) pairs.
   struct CandidateView {
     std::vector<NodeId> nodes;
@@ -282,7 +298,8 @@ class SolutionState {
   std::vector<Count> node_scores_;
 
   // Persistent subset-enumeration kernel: every dynamic update runs
-  // Algorithm 5 on a tiny subset B, and reusing one kernel (arena) across
+  // Algorithm 5 on a tiny subset B (and a both-free insert scans
+  // N(u) ∩ N(v), ScanFreeEdge), and reusing one kernel (arena) across
   // updates makes those enumerations allocation-free in steady state.
   mutable NeighborhoodKernel subset_kernel_;
 

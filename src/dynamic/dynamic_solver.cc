@@ -1,7 +1,6 @@
 #include "dynamic/dynamic_solver.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -91,101 +90,6 @@ StatusOr<DynamicSolver> DynamicSolver::FromState(
     return Status::InvalidArgument("state k does not match options.k");
   }
   return DynamicSolver(std::move(state), DynamicBuildStats{}, options);
-}
-
-bool DynamicSolver::FindFreeCliqueWithEdge(NodeId u, NodeId v,
-                                           std::vector<NodeId>* clique) {
-  const int k = state_->k();
-  const DynamicGraph& graph = state_->graph();
-  // Free common neighbors of the new edge's endpoints.
-  std::vector<NodeId> common;
-  for (NodeId w : graph.Neighbors(u)) {
-    if (w != v && state_->IsFree(w) && graph.HasEdge(w, v)) {
-      common.push_back(w);
-    }
-  }
-  if (common.size() + 2 < static_cast<size_t>(k)) return false;
-
-  std::vector<NodeId> chosen;
-  std::function<bool(size_t, int)> extend = [&](size_t start,
-                                                int remaining) -> bool {
-    if (remaining == 0) return true;
-    for (size_t i = start; i < common.size(); ++i) {
-      const NodeId w = common[i];
-      bool adjacent_to_all = true;
-      for (NodeId x : chosen) {
-        if (!graph.HasEdge(w, x)) {
-          adjacent_to_all = false;
-          break;
-        }
-      }
-      if (!adjacent_to_all) continue;
-      chosen.push_back(w);
-      if (extend(i + 1, remaining - 1)) return true;
-      chosen.pop_back();
-    }
-    return false;
-  };
-  if (!extend(0, k - 2)) return false;
-  clique->clear();
-  clique->push_back(u);
-  clique->push_back(v);
-  clique->insert(clique->end(), chosen.begin(), chosen.end());
-  return true;
-}
-
-std::vector<uint32_t> DynamicSolver::CollectOwnersOfNewCandidates(
-    NodeId u, NodeId v) const {
-  const int k = state_->k();
-  const DynamicGraph& graph = state_->graph();
-  std::vector<uint32_t> owners;
-  std::vector<NodeId> common;
-  for (NodeId w : graph.Neighbors(u)) {
-    if (w != v && graph.HasEdge(w, v)) common.push_back(w);
-  }
-  if (common.size() + 2 < static_cast<size_t>(k)) return owners;
-
-  // Enumerate k-cliques through (u,v) whose non-free nodes all belong to
-  // one solution clique — those are exactly the candidates the new edge
-  // creates (u and v are free here). We only need the set of owners.
-  std::vector<NodeId> chosen;
-  std::function<void(size_t, int, uint32_t)> extend =
-      [&](size_t start, int remaining, uint32_t owner) {
-        if (remaining == 0) {
-          if (owner != SolutionState::kNoClique) owners.push_back(owner);
-          return;
-        }
-        for (size_t i = start; i < common.size(); ++i) {
-          const NodeId w = common[i];
-          uint32_t next_owner = owner;
-          const uint32_t cw = state_->CliqueOf(w);
-          if (cw != SolutionState::kNoClique) {
-            if (owner != SolutionState::kNoClique && cw != owner) continue;
-            next_owner = cw;
-          }
-          bool adjacent_to_all = true;
-          for (NodeId x : chosen) {
-            if (!graph.HasEdge(w, x)) {
-              adjacent_to_all = false;
-              break;
-            }
-          }
-          if (!adjacent_to_all) continue;
-          chosen.push_back(w);
-          extend(i + 1, remaining - 1, next_owner);
-          chosen.pop_back();
-        }
-      };
-  extend(0, k - 2, SolutionState::kNoClique);
-
-  std::sort(owners.begin(), owners.end());
-  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-  owners.erase(std::remove_if(owners.begin(), owners.end(),
-                              [this](uint32_t owner) {
-                                return !state_->SlotAlive(owner);
-                              }),
-               owners.end());
-  return owners;
 }
 
 Status DynamicSolver::InsertEdge(NodeId u, NodeId v) {
@@ -307,7 +211,8 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
         ustat.slots_marked += dirty.MarkProbe(owner, op.edge) ? 1 : 0;
       } else {
         std::vector<NodeId> clique;
-        if (FindFreeCliqueWithEdge(u, v, &clique)) {
+        std::vector<uint32_t> owners;
+        if (state_->ScanFreeEdge(u, v, &clique, &owners)) {
           // Brand-new all-free clique: add directly. AddSolutionClique
           // kills every candidate (of any owner) that used the consumed
           // nodes as free nodes — without that kill, a later delete could
@@ -321,7 +226,9 @@ Status DynamicSolver::ApplyBatch(std::span<const UpdateOp> ops) {
           ustat.direct_add = true;
           ustat.slots_marked += dirty.MarkRebuild(slot) ? 1 : 0;
         } else {
-          for (const uint32_t owner : CollectOwnersOfNewCandidates(u, v)) {
+          // No all-free clique: the owners of new candidates through
+          // (u,v) rebuild at the boundary (Algorithm 6, lines 12-15).
+          for (const uint32_t owner : owners) {
             ustat.slots_marked += dirty.MarkWantAny(owner) ? 1 : 0;
           }
         }

@@ -133,6 +133,11 @@ class DynamicSolver {
   /// Algorithm 6, as ApplyBatch of one insert. Returns InvalidArgument if
   /// the edge already exists, u == v, or an endpoint is past the growth
   /// limit (kNodeIdGrowthSlack). New node ids below it grow the graph.
+  /// When both endpoints are free, one scan of N(u) ∩ N(v)
+  /// (SolutionState::ScanFreeEdge) either finds an all-free k-clique
+  /// through (u,v) — the lexicographically smallest is added to S
+  /// directly — or names the solution cliques that gain candidates
+  /// through it, which are rebuilt at the epoch boundary.
   Status InsertEdge(NodeId u, NodeId v);
 
   /// Algorithm 7, as ApplyBatch of one delete. Returns NotFound if the
@@ -234,16 +239,6 @@ class DynamicSolver {
         publisher_(std::make_unique<SolutionPublisher>()) {
     PublishView();  // readers always have a view, epoch 0 = the build
   }
-
-  // Finds one k-clique containing both u and v with every node free;
-  // fills `clique` and returns true if found (Algorithm 6, lines 7-9).
-  bool FindFreeCliqueWithEdge(NodeId u, NodeId v, std::vector<NodeId>* clique);
-
-  // The owners of would-be candidate cliques through the new edge (u,v) —
-  // the exact Algorithm-6 lines 12-15 enumeration (both endpoints free, no
-  // all-free clique found), sorted, deduped, dead slots dropped. Uncharged:
-  // the boundary rebuilds it feeds carry the meter.
-  std::vector<uint32_t> CollectOwnersOfNewCandidates(NodeId u, NodeId v) const;
 
   std::unique_ptr<SolutionState> state_;  // stable address for internals
   DynamicBuildStats build_stats_;

@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "clique/kclique.h"
+#include "dynamic/dynamic_solver.h"
+#include "dynamic/workload.h"
 #include "gen/named_graphs.h"
 #include "graph/dag.h"
+#include "graph/graph_builder.h"
 #include "graph/ordering.h"
 #include "test_util.h"
 
@@ -274,6 +279,199 @@ TEST(SolutionStateTest, InvariantCheckerCatchesCorruptedCandidate) {
   std::string error;
   EXPECT_FALSE(state.CheckInvariants(&error));
   EXPECT_NE(error.find("candidate"), std::string::npos) << error;
+}
+
+// ---------------------------------------------- both-free insert scan
+// Reference for ScanFreeEdge: the two recursive DFSes the engine ran on a
+// both-free insert before the scan moved onto the subset kernel. The
+// first returns the first all-free clique of a DFS over the ascending free
+// common neighbours — the lexicographically smallest.
+bool ReferenceFreeClique(const SolutionState& state, NodeId u, NodeId v,
+                         std::vector<NodeId>* clique) {
+  const int k = state.k();
+  const DynamicGraph& graph = state.graph();
+  std::vector<NodeId> common;
+  for (NodeId w : graph.Neighbors(u)) {
+    if (w != v && state.IsFree(w) && graph.HasEdge(w, v)) common.push_back(w);
+  }
+  if (common.size() + 2 < static_cast<size_t>(k)) return false;
+  std::vector<NodeId> chosen;
+  auto extend = [&](auto&& self, size_t start, int remaining) -> bool {
+    if (remaining == 0) return true;
+    for (size_t i = start; i < common.size(); ++i) {
+      const NodeId w = common[i];
+      if (!std::all_of(chosen.begin(), chosen.end(),
+                       [&](NodeId x) { return graph.HasEdge(w, x); })) {
+        continue;
+      }
+      chosen.push_back(w);
+      if (self(self, i + 1, remaining - 1)) return true;
+      chosen.pop_back();
+    }
+    return false;
+  };
+  if (!extend(extend, 0, k - 2)) return false;
+  *clique = {u, v};
+  clique->insert(clique->end(), chosen.begin(), chosen.end());
+  return true;
+}
+
+// The second: owners of the k-cliques through (u,v) whose non-free nodes
+// all lie in one solution clique, sorted, unique, alive.
+std::vector<uint32_t> ReferenceOwners(const SolutionState& state, NodeId u,
+                                      NodeId v) {
+  const int k = state.k();
+  const DynamicGraph& graph = state.graph();
+  std::vector<uint32_t> owners;
+  std::vector<NodeId> common;
+  for (NodeId w : graph.Neighbors(u)) {
+    if (w != v && graph.HasEdge(w, v)) common.push_back(w);
+  }
+  if (common.size() + 2 < static_cast<size_t>(k)) return owners;
+  std::vector<NodeId> chosen;
+  auto extend = [&](auto&& self, size_t start, int remaining,
+                    uint32_t owner) -> void {
+    if (remaining == 0) {
+      if (owner != SolutionState::kNoClique) owners.push_back(owner);
+      return;
+    }
+    for (size_t i = start; i < common.size(); ++i) {
+      const NodeId w = common[i];
+      uint32_t next_owner = owner;
+      const uint32_t cw = state.CliqueOf(w);
+      if (cw != SolutionState::kNoClique) {
+        if (owner != SolutionState::kNoClique && cw != owner) continue;
+        next_owner = cw;
+      }
+      if (!std::all_of(chosen.begin(), chosen.end(),
+                       [&](NodeId x) { return graph.HasEdge(w, x); })) {
+        continue;
+      }
+      chosen.push_back(w);
+      self(self, i + 1, remaining - 1, next_owner);
+      chosen.pop_back();
+    }
+  };
+  extend(extend, 0, k - 2, SolutionState::kNoClique);
+  std::sort(owners.begin(), owners.end());
+  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+  std::erase_if(owners, [&](uint32_t slot) { return !state.SlotAlive(slot); });
+  return owners;
+}
+
+// Two hubs joined to each other and to 100 sparse spokes: the hub pair's
+// common neighbourhood spans two bitmap words.
+Graph TwoHubGraph(uint64_t seed) {
+  const NodeId spokes = 100;
+  Graph sparse = testing::RandomGraph(spokes, 0.25, seed);
+  GraphBuilder builder;
+  for (NodeId u = 0; u < spokes; ++u) {
+    for (NodeId v : sparse.Neighbors(u)) {
+      if (u < v) builder.AddEdge(u, v);
+    }
+    builder.AddEdge(u, spokes);
+    builder.AddEdge(u, spokes + 1);
+  }
+  builder.AddEdge(spokes, spokes + 1);
+  return builder.Build();
+}
+
+// A maximal packing of `g` after 400 churn updates, copied out through the
+// snapshot encoding so the caller may free nodes; then each solution
+// clique is removed with probability 1/3, and the hubs' always, so free
+// nodes sit next to owned ones and the hub edge scans a wide universe.
+std::unique_ptr<SolutionState> ChurnedState(const Graph& g, int k,
+                                            uint64_t seed) {
+  DynamicOptions options;
+  options.k = k;
+  StatusOr<DynamicSolver> solver = Status::Internal("unset");
+  if (k == 2) {  // the static solvers start at k = 3; seed a matching
+    CliqueStore matching(2);
+    std::vector<uint8_t> used(g.num_nodes(), 0);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (NodeId v : g.Neighbors(u)) {
+        if (u < v && !used[u] && !used[v]) {
+          used[u] = used[v] = 1;
+          matching.Add(std::vector<NodeId>{u, v});
+        }
+      }
+    }
+    solver = DynamicSolver::BuildFromSolution(g, matching, options);
+  } else {
+    solver = DynamicSolver::Build(g, options);
+  }
+  EXPECT_TRUE(solver.ok()) << solver.status().ToString();
+  Rng rng(seed);
+  const std::vector<UpdateOp> stream = MakeChurnStream(g, 400, rng);
+  for (size_t i = 0; i < stream.size(); i += 16) {
+    const size_t n = std::min<size_t>(16, stream.size() - i);
+    EXPECT_TRUE(
+        solver->ApplyBatch(std::span<const UpdateOp>(stream).subspan(i, n))
+            .ok());
+  }
+  std::string graph_bytes;
+  std::string state_bytes;
+  solver->state().SerializeGraphTo(&graph_bytes);
+  solver->state().SerializeStateTo(&state_bytes);
+  auto state = SolutionState::Deserialize(graph_bytes, state_bytes);
+  EXPECT_TRUE(state.ok()) << state.status().ToString();
+  std::vector<uint32_t> slots;
+  (*state)->ForEachSlot([&](uint32_t slot) { slots.push_back(slot); });
+  const NodeId hubs[2] = {g.num_nodes() - 2, g.num_nodes() - 1};
+  for (const uint32_t slot : slots) {
+    const auto nodes = (*state)->SlotNodes(slot);
+    const bool holds_hub =
+        std::find_first_of(nodes.begin(), nodes.end(), hubs, hubs + 2) !=
+        nodes.end();
+    if (holds_hub || rng.NextBounded(3) == 0) {
+      (*state)->RemoveSolutionClique(slot);
+    }
+  }
+  return std::move(state).value();
+}
+
+TEST(SolutionStateTest, FreeEdgeScanMatchesReferenceDfs) {
+  size_t scans = 0;
+  size_t free_found = 0;
+  size_t owners_found = 0;
+  size_t multi_word = 0;  // scans of a two-word universe
+  for (int k = 2; k <= 6; ++k) {
+    for (uint64_t seed = 0; seed < 2; ++seed) {
+      const Graph g = TwoHubGraph(3000 + seed);
+      const auto state = ChurnedState(g, k, 3100 + 10 * k + seed);
+      const DynamicGraph& graph = state->graph();
+      std::vector<NodeId> clique;
+      std::vector<uint32_t> owners;
+      for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+        for (NodeId v : graph.Neighbors(u)) {
+          if (v < u || !state->IsFree(u) || !state->IsFree(v)) continue;
+          const bool found = state->ScanFreeEdge(u, v, &clique, &owners);
+          std::vector<NodeId> expected;
+          ASSERT_EQ(found, ReferenceFreeClique(*state, u, v, &expected))
+              << "k=" << k << " edge " << u << "-" << v;
+          if (found) {
+            EXPECT_EQ(clique, expected) << "k=" << k;
+          }
+          EXPECT_EQ(owners, ReferenceOwners(*state, u, v))
+              << "k=" << k << " edge " << u << "-" << v;
+          ++scans;
+          free_found += found ? 1 : 0;
+          owners_found += owners.empty() ? 0 : 1;
+          std::vector<NodeId> common;
+          std::set_intersection(graph.Neighbors(u).begin(),
+                                graph.Neighbors(u).end(),
+                                graph.Neighbors(v).begin(),
+                                graph.Neighbors(v).end(),
+                                std::back_inserter(common));
+          multi_word += k > 2 && common.size() > 64 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(free_found, 0u);
+  EXPECT_GT(owners_found, 0u);
+  EXPECT_GT(multi_word, 0u);
+  EXPECT_LT(free_found, scans);
 }
 
 TEST(SolutionStateTest, InvariantCheckerCatchesPlantedCorruption) {

@@ -162,6 +162,34 @@ TEST(DynamicSolverTest, InsertFormingFreeCliqueAddsDirectly) {
   ExpectMaximal(*solver);
 }
 
+TEST(DynamicSolverTest, FreeInsertAddsLexicographicallySmallestClique) {
+  // u and v see free a < b < c < d, among which only a-d and b-c are
+  // edges: inserting (u,v) closes two all-free 4-cliques. The engine adds
+  // the lexicographically smallest rest, (a,d) — not (b,c), which a
+  // highest-node-first enumeration of N(u) ∩ N(v) meets first.
+  const NodeId a = 0, b = 1, c = 2, d = 3, u = 4, v = 5;
+  GraphBuilder builder;
+  for (NodeId w : {a, b, c, d}) {
+    builder.AddEdge(u, w);
+    builder.AddEdge(v, w);
+  }
+  builder.AddEdge(a, d);
+  builder.AddEdge(b, c);
+  auto solver = DynamicSolver::BuildFromSolution(builder.Build(),
+                                                 CliqueStore(4), Opts(4));
+  ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+  ASSERT_TRUE(solver->InsertEdge(u, v).ok());
+  EXPECT_TRUE(solver->last_batch_stats().per_update.at(0).direct_add);
+  const CliqueStore snap = solver->Snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  const auto added = snap.Get(0);
+  EXPECT_EQ(std::vector<NodeId>(added.begin(), added.end()),
+            (std::vector<NodeId>{u, v, a, d}));
+  std::string error;
+  EXPECT_TRUE(solver->CheckInvariants(&error)) << error;
+  ExpectMaximal(*solver);
+}
+
 TEST(DynamicSolverTest, DeletionInsideSolutionCliqueRepacks) {
   GraphBuilder b;
   b.AddEdge(0, 1);
@@ -355,7 +383,7 @@ TEST(DynamicSolverTest, FreeCliqueInsertionKillsOtherCliquesCandidates) {
   ASSERT_TRUE(solver.ok()) << solver.status().ToString();
   ASSERT_EQ(solver->index_size(), 1u);  // exactly X
 
-  // Both endpoints free; FindFreeCliqueWithEdge finds {4,5,6} and consumes
+  // Both endpoints free; ScanFreeEdge finds {4,5,6} and consumes
   // node 4 — X must die with it.
   ASSERT_TRUE(solver->InsertEdge(5, 6).ok());
   EXPECT_EQ(solver->solution_size(), 2u);

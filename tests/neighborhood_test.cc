@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "graph/dag.h"
@@ -77,6 +79,35 @@ Count NaiveScoreRooted(const Dag& dag, NodeId u, int k,
     return total;
   };
   return rec(rec, k - 1, out);
+}
+
+// The k-cliques rooted at u in naive DFS order, each root first and then
+// the members in the order the recursion picked them.
+std::vector<std::vector<NodeId>> NaiveEnumerateRooted(const Dag& dag,
+                                                      NodeId u, int k) {
+  std::vector<std::vector<NodeId>> out_cliques;
+  auto out = dag.OutNeighbors(u);
+  if (out.size() + 1 < static_cast<size_t>(k)) return out_cliques;
+  std::vector<NodeId> prefix = {u};
+  auto rec = [&](auto&& self, int remaining,
+                 std::span<const NodeId> cand) -> void {
+    if (remaining == 1) {
+      for (NodeId v : cand) {
+        out_cliques.push_back(prefix);
+        out_cliques.back().push_back(v);
+      }
+      return;
+    }
+    for (NodeId v : cand) {
+      auto next = Intersect(cand, dag.OutNeighbors(v));
+      if (next.size() + 1 < static_cast<size_t>(remaining)) continue;
+      prefix.push_back(v);
+      self(self, remaining - 1, next);
+      prefix.pop_back();
+    }
+  };
+  rec(rec, k - 1, out);
+  return out_cliques;
 }
 
 // Pre-refactor FindMin without pruning: first-found-in-DFS-order minimum
@@ -233,6 +264,89 @@ TEST(NeighborhoodKernelTest, SubsetEnumerationMatchesBruteForce) {
     }
     EXPECT_EQ(testing::Canonicalize(found), testing::Canonicalize(expected));
   }
+}
+
+// q = k-1 >= 9 is past the compile-time single-word levels: one-word
+// universes run the generic bitmap recursion with words_ == 1, wider ones
+// with more words. Both must match the naive recursion in counts, scores
+// and emission order, with rows built lazily and eagerly.
+void ExpectDeepRootsMatchNaive(const Graph& g, const Dag& dag,
+                               bool* saw_one_word, bool* saw_multi_word) {
+  NeighborhoodKernel kernel;
+  for (int k = 10; k <= 12; ++k) {
+    std::vector<Count> naive_scores(g.num_nodes(), 0);
+    std::vector<Count> kernel_scores(g.num_nodes(), 0);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const auto naive = NaiveEnumerateRooted(dag, u, k);
+      NaiveScoreRooted(dag, u, k, &naive_scores);
+      if (dag.OutDegree(u) + 1 < static_cast<Count>(k)) continue;
+      if (!naive.empty()) {
+        (dag.OutDegree(u) <= 64 ? *saw_one_word : *saw_multi_word) = true;
+      }
+      for (bool eager : {false, true}) {
+        kernel.BuildFromRoot(dag, u);
+        ASSERT_TRUE(kernel.uses_bitmap());
+        std::vector<std::vector<NodeId>> got;
+        kernel.ForEachClique(
+            k - 1,
+            [&](std::span<const NodeId> nodes) {
+              got.emplace_back(nodes.begin(), nodes.end());
+              return true;
+            },
+            eager);
+        EXPECT_EQ(got, naive) << "u=" << u << " k=" << k
+                              << " eager=" << eager;
+        // After a lazy walk the count completes the remaining rows.
+        EXPECT_EQ(kernel.CountCliques(k - 1), naive.size())
+            << "u=" << u << " k=" << k << " eager=" << eager;
+      }
+      kernel.BuildFromRoot(dag, u);
+      const Count total = kernel.ScoreCliques(k - 1, &kernel_scores);
+      kernel_scores[u] += total;
+      EXPECT_EQ(total, naive.size()) << "u=" << u << " k=" << k;
+    }
+    EXPECT_EQ(kernel_scores, naive_scores) << "k=" << k;
+    const Count listed =
+        std::accumulate(naive_scores.begin(), naive_scores.end(), Count{0});
+    EXPECT_GT(listed, 0u) << "no " << k << "-clique to compare";
+  }
+}
+
+TEST(NeighborhoodKernelTest, DeepCliquesMatchNaiveOnOneAndManyWords) {
+  bool saw_one_word = false;
+  bool saw_multi_word = false;
+  // Dense and degeneracy-ordered: every universe fits one word.
+  Graph dense = testing::RandomGraph(32, 0.8, 1200);
+  Dag dense_dag(dense, DegeneracyOrdering(dense));
+  ExpectDeepRootsMatchNaive(dense, dense_dag, &saw_one_word, &saw_multi_word);
+  EXPECT_TRUE(saw_one_word);
+
+  // A hub over 90 sparse nodes holding two overlapping planted 12-cliques
+  // spread across both words: under the identity ordering the hub's
+  // universe is all 90 nodes (two words), the others' stay on one.
+  const NodeId spokes = 90;
+  Graph sparse = testing::RandomGraph(spokes, 0.3, 1201);
+  GraphBuilder builder;
+  for (NodeId u = 0; u < spokes; ++u) {
+    for (NodeId v : sparse.Neighbors(u)) {
+      if (u < v) builder.AddEdge(u, v);
+    }
+    builder.AddEdge(u, spokes);  // hub
+  }
+  for (const auto& [first, stride] : {std::pair<NodeId, NodeId>{2, 7},
+                                       std::pair<NodeId, NodeId>{9, 5}}) {
+    for (NodeId i = 0; i < 12; ++i) {
+      for (NodeId j = i + 1; j < 12; ++j) {
+        builder.AddEdge(first + stride * i, first + stride * j);
+      }
+    }
+  }
+  Graph hub = builder.Build();
+  Dag hub_dag(hub, IdentityOrdering(hub.num_nodes()));
+  ASSERT_EQ(hub_dag.OutDegree(spokes), spokes);
+  saw_multi_word = false;
+  ExpectDeepRootsMatchNaive(hub, hub_dag, &saw_one_word, &saw_multi_word);
+  EXPECT_TRUE(saw_multi_word);
 }
 
 TEST(NeighborhoodKernelTest, AlternatingBuildModesKeepsMapClean) {

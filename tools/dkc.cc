@@ -46,6 +46,8 @@
 // --threads=n to run the pool-parallel passes (stats counting, every
 // solve method, and the dynamic engine's per-update fan-outs) across n
 // worker threads; solutions are byte-identical at any thread count.
+// --threads above kMaxThreads (256) is refused with exit 1 before any
+// work starts.
 
 #include <algorithm>
 #include <atomic>
@@ -84,13 +86,18 @@
 
 namespace {
 
+// Largest --threads the CLI accepts. A pool of n workers starts n OS
+// threads up front, so a mistyped count is refused instead of being left
+// to fail inside thread creation.
+constexpr long kMaxThreads = 256;
+
 int Usage() {
   std::fprintf(stderr,
                "usage: dkc <stats|solve|verify|cover|match|update|serve> "
                "[flags]\n"
                "  --file=<edge list>  or  --ws=<n>,<degree>,<beta>\n"
                "  --threads=<n>  worker pool for stats/solve/update "
-               "(default 1)\n"
+               "(default 1, at most 256)\n"
                "  solve:  --k=4 --method=HG|GC|L|LP|OPT [--out=path]\n"
                "          [--no-preprocess]\n"
                "  verify: --solution=path\n"
@@ -138,7 +145,8 @@ dkc::StatusOr<dkc::Graph> LoadGraph(const dkc::Flags& flags) {
   return dkc::WattsStrogatz(n, degree, beta, rng);
 }
 
-// --threads=n (n >= 2) builds a worker pool; 0/1 stay serial.
+// --threads=n (n >= 2) builds a worker pool; 0/1 stay serial. main has
+// already refused n > kMaxThreads.
 std::unique_ptr<dkc::ThreadPool> MakePool(const dkc::Flags& flags) {
   const long threads = flags.GetInt("threads", 1);
   if (threads < 2) return nullptr;
@@ -823,6 +831,13 @@ int main(int argc, char** argv) {
   dkc::Flags flags(argc, argv);
   if (flags.positional().empty()) return Usage();
   const std::string command = flags.positional()[0];
+  const long threads = static_cast<long>(flags.GetInt("threads", 1));
+  if (threads > kMaxThreads) {
+    std::fprintf(stderr,
+                 "InvalidArgument: --threads=%ld is above the limit of %ld\n",
+                 threads, kMaxThreads);
+    return 1;
+  }
 
   auto graph = LoadGraph(flags);
   if (!graph.ok()) {

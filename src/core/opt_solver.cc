@@ -64,14 +64,7 @@ StatusOr<SolveResult> SolveOpt(const Graph& g, const OptOptions& options) {
   ExactMisParams mis_params;
   mis_params.deadline = deadline;
   mis_params.upper_bound = participating / static_cast<uint32_t>(options.k);
-  // Two spellings of the same cap (the Budget field and the legacy direct
-  // option): the tighter nonzero one wins.
   mis_params.max_branch_nodes = options.budget.max_branch_nodes;
-  if (options.max_mis_branch_nodes != 0 &&
-      (mis_params.max_branch_nodes == 0 ||
-       options.max_mis_branch_nodes < mis_params.max_branch_nodes)) {
-    mis_params.max_branch_nodes = options.max_mis_branch_nodes;
-  }
   mis_params.pool = options.pool;
   std::vector<NodeId> touched;
   mis_params.component_bound =

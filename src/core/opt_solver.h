@@ -26,9 +26,6 @@ struct OptOptions {
   /// reduction), parallel clique-graph dedup, and parallel per-component
   /// exact-MIS solves. The solution is byte-identical at any thread count.
   ThreadPool* pool = nullptr;
-  /// Legacy alias for budget.max_branch_nodes (kept for direct callers);
-  /// when both are set the tighter cap wins.
-  uint64_t max_mis_branch_nodes = 0;
 };
 
 /// Exact maximum disjoint k-clique set. OOT/OOM via Status on budget

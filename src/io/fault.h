@@ -3,11 +3,11 @@
 //
 // Every syscall the durable layer makes (open/write/fsync/close/rename/
 // link/unlink/truncate and the stdio fopen/fwrite/fflush trio) goes through
-// a `dkc::fio::` wrapper tagged with a FaultSite naming the call site. In a
-// build with DKC_FAULT_INJECTION=0 (Release default) the wrappers are
-// inline passthroughs — the seam compiles to the raw syscall, zero
-// overhead. With DKC_FAULT_INJECTION=1 (Debug/ASan default) each wrapper
-// consults the process-global FaultInjector before touching the kernel.
+// a `dkc::fio::` wrapper tagged with a FaultSite naming the call site. The
+// seam is compiled into every build: each wrapper consults the
+// process-global FaultInjector before touching the kernel. Disarmed, that
+// is one uncontended mutex round-trip per wrapped syscall, noise next to
+// the syscall itself.
 //
 // The injector is test-scoped and deterministic:
 //
@@ -23,8 +23,8 @@
 //    then replay the identical workload failing any single recorded hit —
 //    any failing schedule is reproducible from (seed, hit index) alone.
 //
-// Disarmed (the default, and always in gated-off builds) the injector is
-// never consulted; production binaries cannot trip a fault by accident.
+// Disarmed (the default) the injector fails nothing and records nothing;
+// only a test or `dkc serve --inject-fault` arms it.
 
 #ifndef DKC_IO_FAULT_H_
 #define DKC_IO_FAULT_H_
@@ -37,15 +37,6 @@
 #include <vector>
 
 #include "util/status.h"
-
-#ifndef DKC_FAULT_INJECTION
-#define DKC_FAULT_INJECTION 0
-#endif
-
-#if DKC_FAULT_INJECTION == 0
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace dkc {
 
@@ -108,9 +99,8 @@ struct FaultHit {
   uint64_t index = 0;
 };
 
-/// Process-global injector. All methods are thread-safe; the class is
-/// always compiled (so flag parsing and test helpers link in every build)
-/// but only consulted by the fio wrappers when DKC_FAULT_INJECTION=1.
+/// Process-global injector, consulted by every fio wrapper. All methods are
+/// thread-safe.
 class FaultInjector {
  public:
   static FaultInjector& Instance();
@@ -137,15 +127,10 @@ class FaultInjector {
   FaultInjector() = default;
 };
 
-/// True in builds whose fio wrappers actually consult the injector.
-inline constexpr bool kFaultInjectionCompiledIn = DKC_FAULT_INJECTION != 0;
-
 // The syscall seam. Signatures mirror the wrapped calls plus the leading
 // site tag; error reporting is unchanged (return value + errno, or the
 // stdio convention), so call sites read like the raw syscall.
 namespace fio {
-
-#if DKC_FAULT_INJECTION
 
 int Open(FaultSite site, const char* path, int flags, mode_t mode);
 int Open(FaultSite site, const char* path, int flags);
@@ -164,43 +149,6 @@ int FFlush(FaultSite site, std::FILE* stream);
 /// call): consulted before the open; a firing rule yields IOError built
 /// from the rule's errno, as if the open itself had failed.
 Status Probe(FaultSite site, const std::string& what);
-
-#else  // passthroughs — the Release seam is the syscall itself
-
-inline int Open(FaultSite, const char* path, int flags, mode_t mode) {
-  return ::open(path, flags, mode);
-}
-inline int Open(FaultSite, const char* path, int flags) {
-  return ::open(path, flags);
-}
-inline ssize_t Write(FaultSite, int fd, const void* buf, size_t count) {
-  return ::write(fd, buf, count);
-}
-inline int Fsync(FaultSite, int fd) { return ::fsync(fd); }
-inline int Close(FaultSite, int fd) { return ::close(fd); }
-inline int Rename(FaultSite, const char* from, const char* to) {
-  return ::rename(from, to);
-}
-inline int Unlink(FaultSite, const char* path) { return ::unlink(path); }
-inline int Link(FaultSite, const char* from, const char* to) {
-  return ::link(from, to);
-}
-inline int Truncate(FaultSite, const char* path, off_t length) {
-  return ::truncate(path, length);
-}
-inline std::FILE* FOpen(FaultSite, const char* path, const char* mode) {
-  return std::fopen(path, mode);
-}
-inline size_t FWrite(FaultSite, const void* buf, size_t size, size_t n,
-                     std::FILE* stream) {
-  return std::fwrite(buf, size, n, stream);
-}
-inline int FFlush(FaultSite, std::FILE* stream) {
-  return std::fflush(stream);
-}
-inline Status Probe(FaultSite, const std::string&) { return Status::OK(); }
-
-#endif  // DKC_FAULT_INJECTION
 
 }  // namespace fio
 }  // namespace dkc

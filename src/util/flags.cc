@@ -1,8 +1,41 @@
 #include "util/flags.h"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <system_error>
+
+#include "util/status.h"
 
 namespace dkc {
+namespace {
+
+// Parses all of `value` as a T, or exits 1 naming the flag: a number with
+// trailing junk or out of T's range is a typo, not a smaller number.
+template <typename T>
+T ParseOrExit(const std::string& name, const std::string& value,
+              const char* kind) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  const char* problem = nullptr;
+  if (ec == std::errc::result_out_of_range) {
+    problem = "out of range";
+  } else if (ec != std::errc() || ptr != end) {
+    problem = kind;
+  }
+  if (problem != nullptr) {
+    std::fprintf(stderr, "%s\n",
+                 Status::InvalidArgument("--" + name + "=" + value + " is " +
+                                         problem)
+                     .ToString()
+                     .c_str());
+    std::exit(1);
+  }
+  return parsed;
+}
+
+}  // namespace
 
 Flags::Flags(int argc, char** argv) {
   if (argc > 0) program_name_ = argv[0];
@@ -34,13 +67,13 @@ std::string Flags::GetString(const std::string& name,
 int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return ParseOrExit<int64_t>(name, it->second, "not an integer");
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return std::strtod(it->second.c_str(), nullptr);
+  return ParseOrExit<double>(name, it->second, "not a number");
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {

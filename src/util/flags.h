@@ -14,6 +14,9 @@ namespace dkc {
 
 /// Parses `--name=value` and bare `--name` (=> "true") arguments.
 /// Unrecognized positional arguments are kept in `positional()`.
+/// GetInt/GetDouble read the whole value: malformed or out-of-range text
+/// (`--threads=4x`, `--k=abc`, `--k=`) prints an InvalidArgument naming
+/// the flag to stderr and exits 1.
 class Flags {
  public:
   Flags(int argc, char** argv);

@@ -575,24 +575,22 @@ TEST(BatchTest, FirstPublishAfterStoreOpenAndReopenMatchesFreshBuild) {
                                 *store->solver().published_view());
   }
 
-  if (kFaultInjectionCompiledIn) {
-    FaultRule rule;
-    rule.site = FaultSite::kWalFsync;
-    rule.error = ENOSPC;
-    rule.fail_count = 0;  // sticky until disarmed
-    FaultInjector::Instance().Arm({rule});
-    const Status failed = store->ApplyBatch(all.subspan(i, 64));
-    FaultInjector::Instance().Disarm();
-    ASSERT_FALSE(failed.ok());
-    ASSERT_TRUE(store->sealed());
-    ASSERT_TRUE(store->Reopen().ok());
+  FaultRule rule;
+  rule.site = FaultSite::kWalFsync;
+  rule.error = ENOSPC;
+  rule.fail_count = 0;  // sticky until disarmed
+  FaultInjector::Instance().Arm({rule});
+  const Status failed = store->ApplyBatch(all.subspan(i, 64));
+  FaultInjector::Instance().Disarm();
+  ASSERT_FALSE(failed.ok());
+  ASSERT_TRUE(store->sealed());
+  ASSERT_TRUE(store->Reopen().ok());
+  ExpectViewMatchesFreshBuild(store->solver(),
+                              *store->solver().published_view());
+  for (; i < all.size(); i += 64) {
+    ASSERT_TRUE(store->ApplyBatch(all.subspan(i, 64)).ok());
     ExpectViewMatchesFreshBuild(store->solver(),
                                 *store->solver().published_view());
-    for (; i < all.size(); i += 64) {
-      ASSERT_TRUE(store->ApplyBatch(all.subspan(i, 64)).ok());
-      ExpectViewMatchesFreshBuild(store->solver(),
-                                  *store->solver().published_view());
-    }
   }
   std::remove(snapshot.c_str());
   std::remove(wal.c_str());

@@ -15,8 +15,8 @@
 // clobbered), the best-effort directory-fsync counter, and the
 // RetryReopen backoff schedule on a fake clock.
 //
-// Every test skips unless the build compiled the seam in
-// (-DDKC_FAULT_INJECTION=ON; default in Debug/ASan builds).
+// The seam is compiled into every build, so every test here runs in the
+// default Release build as well as under the sanitizers.
 
 #include "io/fault.h"
 
@@ -43,14 +43,6 @@
 
 namespace dkc {
 namespace {
-
-#define SKIP_WITHOUT_INJECTION()                                         \
-  do {                                                                   \
-    if (!kFaultInjectionCompiledIn) {                                    \
-      GTEST_SKIP() << "build has no fault-injection seam "               \
-                      "(-DDKC_FAULT_INJECTION=ON)";                      \
-    }                                                                    \
-  } while (false)
 
 /// Disarms on scope exit so a failing assertion can't leak an armed
 /// injector into the next test.
@@ -141,7 +133,6 @@ void CleanUp(const StorePaths& paths) {
 // ------------------------------------------------------- injector basics ---
 
 TEST(FaultInjectorTest, DisarmedSeamIsInert) {
-  SKIP_WITHOUT_INJECTION();
   FaultInjector::Instance().Disarm();
   const std::string path = TempPath("dkc_fault_inert.txt");
   ASSERT_TRUE(AtomicWriteFile(path, "payload").ok());
@@ -150,7 +141,6 @@ TEST(FaultInjectorTest, DisarmedSeamIsInert) {
 }
 
 TEST(FaultInjectorTest, RecordsDeterministicTrace) {
-  SKIP_WITHOUT_INJECTION();
   const std::string path = TempPath("dkc_fault_trace.txt");
   std::vector<FaultHit> first, second;
   {
@@ -180,7 +170,6 @@ TEST(FaultInjectorTest, RecordsDeterministicTrace) {
 }
 
 TEST(FaultInjectorTest, SiteNamesRoundTrip) {
-  SKIP_WITHOUT_INJECTION();
   for (FaultSite site : {FaultSite::kAtomicWrite, FaultSite::kWalFsync,
                          FaultSite::kSnapshotReadOpen, FaultSite::kStoreLink}) {
     FaultSite parsed = FaultSite::kAnySite;
@@ -196,9 +185,6 @@ TEST(FaultInjectorTest, SiteNamesRoundTrip) {
 class AtomicWriteFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kFaultInjectionCompiledIn) {
-      GTEST_SKIP() << "build has no fault-injection seam";
-    }
     path_ = TempPath("dkc_fault_atomic.txt");
     std::remove(path_.c_str());
     std::remove(AtomicTempPath(path_).c_str());
@@ -304,7 +290,6 @@ TEST_F(AtomicWriteFaultTest, DirFsyncFailureIsCountedNotFatal) {
 // ------------------------------------------------------ WAL sync poisoning ---
 
 TEST(WalPoisonTest, FailedFsyncPoisonsSubsequentAppends) {
-  SKIP_WITHOUT_INJECTION();
   const std::string path = TempPath("dkc_fault_fsyncgate.wal");
   std::remove(path.c_str());
   auto writer = WalWriter::Open(path);
@@ -343,7 +328,6 @@ TEST(WalPoisonTest, FailedFsyncPoisonsSubsequentAppends) {
 }
 
 TEST(WalPoisonTest, ShortAppendPoisonsWriter) {
-  SKIP_WITHOUT_INJECTION();
   const std::string path = TempPath("dkc_fault_short_append.wal");
   std::remove(path.c_str());
   auto opened = WalWriter::Open(path);
@@ -377,7 +361,6 @@ TEST(WalPoisonTest, ShortAppendPoisonsWriter) {
 // ------------------------------------------------------- sealed lifecycle ---
 
 TEST(SealedStoreTest, WalFaultSealsRefusesAndReopens) {
-  SKIP_WITHOUT_INJECTION();
   TestWorld world = MakeWorld(30, 7001);
   const StorePaths paths = MakeStorePaths("sealed");
   auto store = [&] {
@@ -432,7 +415,6 @@ TEST(SealedStoreTest, WalFaultSealsRefusesAndReopens) {
 }
 
 TEST(SealedStoreTest, ReopenOnUnsealedStoreIsInvalid) {
-  SKIP_WITHOUT_INJECTION();
   TestWorld world = MakeWorld(4, 7002);
   const StorePaths paths = MakeStorePaths("unsealed_reopen");
   StoreOptions options;
@@ -446,7 +428,6 @@ TEST(SealedStoreTest, ReopenOnUnsealedStoreIsInvalid) {
 }
 
 TEST(SealedStoreTest, RetryReopenBacksOffExponentiallyOnFakeClock) {
-  SKIP_WITHOUT_INJECTION();
   TestWorld world = MakeWorld(4, 7003);
   const StorePaths paths = MakeStorePaths("backoff");
   StoreOptions options;
@@ -583,7 +564,6 @@ ScheduleResult RunWorkload(const TestWorld& world, const HarnessConfig& config,
 class FaultScheduleTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FaultScheduleTest, TrichotomyAndAckedPrefixIdentity) {
-  SKIP_WITHOUT_INJECTION();
   const uint64_t seed = GetParam();
   size_t schedules = 0, sealed_runs = 0, clean_runs = 0, refused_runs = 0;
 

@@ -99,7 +99,7 @@ TEST(ThreadSweepTest, OptOutcomesAreByteIdenticalAcrossThreadCounts) {
     const Graph g = testing::RandomGraphMixed(case_index, /*seed=*/7000);
     OptOptions options;
     options.k = 3 + case_index % 3;
-    options.max_mis_branch_nodes = kOptBranchBudget;
+    options.budget.max_branch_nodes = kOptBranchBudget;
     auto serial = SolveOpt(g, options);
     if (serial.ok()) {
       ++solved;

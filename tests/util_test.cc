@@ -501,8 +501,6 @@ TEST(FlagsTest, EmptyValueIsPresentButEmpty) {
   Flags flags(2, const_cast<char**>(argv));
   EXPECT_TRUE(flags.Has("name"));
   EXPECT_EQ(flags.GetString("name", "default"), "");
-  // Numeric lookups on an empty value fall back to strtoll/strtod of "".
-  EXPECT_EQ(flags.GetInt("name", 9), 0);
 }
 
 TEST(FlagsTest, UnknownFlagFallsBackToDefaults) {
@@ -514,11 +512,37 @@ TEST(FlagsTest, UnknownFlagFallsBackToDefaults) {
   EXPECT_FALSE(flags.GetBool("unknown", false));
 }
 
-TEST(FlagsTest, NonNumericValueParsesAsZero) {
-  const char* argv[] = {"prog", "--k=abc"};
-  Flags flags(2, const_cast<char**>(argv));
-  EXPECT_EQ(flags.GetInt("k", 5), 0);
-  EXPECT_EQ(flags.GetDouble("k", 5.0), 0.0);
+TEST(FlagsTest, NumbersParseWhole) {
+  const char* argv[] = {"prog", "--k=-7", "--big=9223372036854775807",
+                        "--beta=1e-3", "--ms=40"};
+  Flags flags(5, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("k", 0), -7);
+  EXPECT_EQ(flags.GetInt("big", 0), INT64_MAX);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("beta", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("ms", 0.0), 40.0);
+}
+
+// A malformed or out-of-range number is a typo, never its numeric prefix
+// or 0: the lookup exits 1 with an InvalidArgument naming the flag.
+TEST(FlagsTest, MalformedNumberExitsNamingTheFlag) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const char* argv[] = {"prog",     "--threads=4x",
+                        "--k=abc",  "--name=",
+                        "--big=99999999999999999999",
+                        "--beta=0.5x", "--huge=1e999"};
+  Flags flags(7, const_cast<char**>(argv));
+  const auto exits_1 = ::testing::ExitedWithCode(1);
+  EXPECT_EXIT(flags.GetInt("threads", 1), exits_1,
+              "InvalidArgument: --threads=4x is not an integer");
+  EXPECT_EXIT(flags.GetInt("k", 5), exits_1, "--k=abc is not an integer");
+  EXPECT_EXIT(flags.GetDouble("k", 5.0), exits_1, "--k=abc is not a number");
+  EXPECT_EXIT(flags.GetInt("name", 9), exits_1, "--name= is not an integer");
+  EXPECT_EXIT(flags.GetInt("big", 0), exits_1,
+              "--big=99999999999999999999 is out of range");
+  EXPECT_EXIT(flags.GetDouble("beta", 0.1), exits_1,
+              "--beta=0.5x is not a number");
+  EXPECT_EXIT(flags.GetDouble("huge", 0.0), exits_1,
+              "--huge=1e999 is out of range");
 }
 
 }  // namespace

@@ -46,8 +46,9 @@
 // --threads=n to run the pool-parallel passes (stats counting, every
 // solve method, and the dynamic engine's per-update fan-outs) across n
 // worker threads; solutions are byte-identical at any thread count.
-// --threads above kMaxThreads (256) is refused with exit 1 before any
-// work starts.
+// --threads or serve's --readers above kMaxThreads (256) is refused with
+// exit 1 before any work starts; so is a numeric flag whose value is not
+// a number in range (util/flags.h).
 
 #include <algorithm>
 #include <atomic>
@@ -86,9 +87,10 @@
 
 namespace {
 
-// Largest --threads the CLI accepts. A pool of n workers starts n OS
-// threads up front, so a mistyped count is refused instead of being left
-// to fail inside thread creation.
+// Largest --threads (and serve --readers) the CLI accepts. A pool of n
+// workers starts n OS threads up front, and serve starts one thread per
+// reader, so a mistyped count is refused instead of being left to fail
+// inside thread creation.
 constexpr long kMaxThreads = 256;
 
 int Usage() {
@@ -113,12 +115,13 @@ int Usage() {
                "[--crash-after=n] [--no-skip]\n"
                "          [--batch=N]  N updates per WAL epoch, one fsync "
                "each (0 = 1)\n"
-               "          [--readers=R] [--top=K]\n"
+               "          [--readers=R]  R reader threads (at most 256)\n"
+               "          [--top=K]\n"
                "          [--crash-in-commit-window=n]\n"
                "          [--keep-snapshots=N]  retain N-1 point-in-time "
                "rotations beside the live snapshot\n"
                "          [--inject-fault=SITE:NTH[:COUNT[:ERRNO]][,...]]  "
-               "(fault-injection builds only)\n"
+               "fail store syscalls\n"
                "          [--reopen-max-attempts=N] [--reopen-backoff-ms=B]\n"
                "          exit codes: 0 clean, 1 error, 2 corruption,\n"
                "          3 I/O error, 4 sealed and reopen gave up\n");
@@ -508,17 +511,11 @@ int RunServe(const dkc::Flags& flags, const dkc::Graph& g) {
   // Syscall fault injection (drills the sealed/Reopen degraded path).
   const std::string fault_spec = flags.GetString("inject-fault", "");
   if (!fault_spec.empty()) {
-    if (!dkc::kFaultInjectionCompiledIn) {
-      std::fprintf(stderr,
-                   "serve: --inject-fault needs a -DDKC_FAULT_INJECTION=ON "
-                   "build\n");
-      return 1;
-    }
     std::vector<dkc::FaultRule> rules;
     std::string parse_error;
     if (!ParseFaultRules(fault_spec, &rules, &parse_error)) {
       std::fprintf(stderr, "serve: --inject-fault: %s\n", parse_error.c_str());
-      return Usage();
+      return 1;
     }
     dkc::FaultInjector::Instance().Arm(std::move(rules));
   }
@@ -831,12 +828,14 @@ int main(int argc, char** argv) {
   dkc::Flags flags(argc, argv);
   if (flags.positional().empty()) return Usage();
   const std::string command = flags.positional()[0];
-  const long threads = static_cast<long>(flags.GetInt("threads", 1));
-  if (threads > kMaxThreads) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --threads=%ld is above the limit of %ld\n",
-                 threads, kMaxThreads);
-    return 1;
+  for (const char* name : {"threads", "readers"}) {
+    const int64_t count = flags.GetInt(name, 0);
+    if (count > kMaxThreads) {
+      std::fprintf(stderr,
+                   "InvalidArgument: --%s=%lld is above the limit of %ld\n",
+                   name, static_cast<long long>(count), kMaxThreads);
+      return 1;
+    }
   }
 
   auto graph = LoadGraph(flags);
